@@ -3,7 +3,9 @@
 Reads a group header plus equations, runs the decision procedure under a
 configurable budget, and prints either a human summary or a single JSON
 report that embeds the witness or certificate.  Exit status encodes the
-verdict: 0 sat, 1 unsat, 2 unknown, 64 usage error, 65 unreadable input.
+verdict: 0 sat, 1 unsat, 2 unknown, 64 usage error, 65 unreadable input,
+70 internal error (an uncaught exception, reported as one line on stderr
+rather than mistaken for a verdict).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ EXIT_UNSAT = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_SOFTWARE = 70
 
 _STATUS_EXIT = {"sat": EXIT_SAT, "unsat": EXIT_UNSAT, "unknown": EXIT_UNKNOWN}
 
@@ -207,6 +210,15 @@ def _run_verify_only(path: str) -> int:
 
 def main(argv=None) -> int:
     args = _make_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as e:
+        detail = " ".join(str(e).split())
+        print(f"groupeq: internal error: {type(e).__name__}: {detail}", file=sys.stderr)
+        return EXIT_SOFTWARE
+
+
+def _run(args) -> int:
     if (args.input is None) == (args.verify_only is None):
         print(
             "groupeq: need exactly one input (a system file or --verify-only)",

@@ -873,15 +873,20 @@ def _lift_bs(system, final: FinalBranch, k: int, env: dict):
     return out
 
 
-def _lift_wreath(system, final: FinalBranch, spec, env: dict):
+def _lift_wreath(system, final: FinalBranch, spec, env: dict, zero_lift=False):
+    """Back-substitute the pivot rows of every part at the parameters env.
+
+    A pivot whose coefficient is a single monomial c*t^d is solved by exact
+    division.  Any other coefficient gives no lift, unless zero_lift is set
+    and the rest of the row vanishes: then the pivot unknown is lifted to 0.
+    """
     per_comp: dict[tuple[str, int], dict[int, int]] = {}
     for part in final.parts:
         assigned: dict[str, dict[int, int]] = {}
         for u, row in reversed(part.pivots):
             coef = row.coeffs[u].eval_laurent(env)
-            if len(coef) != 1:
+            if len(coef) != 1 and not zero_lift:
                 return None
-            (d0, v0), = coef.items()
             acc = dict(row.const.eval_laurent(env))
             for w, s in row.coeffs.items():
                 if w == u:
@@ -891,6 +896,12 @@ def _lift_wreath(system, final: FinalBranch, spec, env: dict):
                 for dd, cc in spoly.items():
                     for dw, cw in wpoly.items():
                         acc = _laurent_combine(acc, {dd + dw: cw}, cc, part.mod)
+            if len(coef) != 1:
+                if acc:
+                    return None
+                assigned[u] = {}
+                continue
+            (d0, v0), = coef.items()
             res = {}
             for d, c in acc.items():
                 w = _div_exact(-c, v0, part.mod)
@@ -919,10 +930,22 @@ def _lift_wreath(system, final: FinalBranch, spec, env: dict):
 
 
 def _lift_candidates(system, build: Build, budget: Budget):
-    """Assignments suggested by the surviving branches, small parameters first."""
+    """Assignments suggested by the surviving branches, small parameters first.
+
+    Wreath zero lifts (see ``_lift_wreath``) follow after every plain lift,
+    so a system that a plain lift decides keeps that witness.
+    """
     spec = system.spec
     seen = set()
     out = []
+    retry = []
+
+    def add(cand):
+        key = tuple(sorted((v, repr(g)) for v, g in cand.items()))
+        if key not in seen:
+            seen.add(key)
+            out.append(cand)
+
     for final in build.finals:
         nparams = len(final.params)
         if nparams == 0:
@@ -939,11 +962,14 @@ def _lift_candidates(system, build: Build, budget: Budget):
                 else _lift_wreath(system, final, spec, env)
             )
             if cand is None:
+                if spec.kind != "bs":
+                    retry.append((final, env))
                 continue
-            key = tuple(sorted((v, repr(g)) for v, g in cand.items()))
-            if key not in seen:
-                seen.add(key)
-                out.append(cand)
+            add(cand)
+    for final, env in retry:
+        cand = _lift_wreath(system, final, spec, env, zero_lift=True)
+        if cand is not None:
+            add(cand)
     return out
 
 
@@ -986,11 +1012,15 @@ class _WitnessSearch:
                 for combo in itertools.product(*[layer(s) for s in sizes]):
                     yield dict(zip(names, combo))
 
-    def step(self, cap: int):
+    def step(self, cap: int, pending_only=False):
+        """Check up to cap candidates, pending ones first; with pending_only,
+        stop when the pending queue runs dry instead of opening the balls."""
         n = 0
         while n < cap:
             if self.pending:
                 cand = self.pending.popleft()
+            elif pending_only:
+                return None
             else:
                 cand = next(self.gen, None)
                 if cand is None:
@@ -1112,10 +1142,21 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
         if deadline is not None and time.monotonic() > deadline:
             break
         stats["rounds"] += 1
+        first = stats["rounds"] == 1
         progressed = False
+        cap = budget.candidates_per_step
+        if first and p1.pending:
+            # lifted branch solutions are the cheapest witnesses: check them
+            # before refinement, against the round's shared candidate cap
+            w = p1.step(cap, pending_only=True)
+            stats["p1_steps"] += 1
+            stats["candidates_checked"] = p1.checked
+            if w is not None:
+                return Verdict("sat", witness=w, stats=stats)
+            cap -= p1.checked
         # the first round gives refinement a head start: cheap early levels
-        # often refute outright, skipping enumeration entirely
-        for _ in range(2 if stats["rounds"] == 1 else 1):
+        # often refute outright, skipping ball enumeration entirely
+        for _ in range(2 if first else 1):
             for man in managers:
                 if man.state == "running":
                     man.step()
@@ -1128,8 +1169,10 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
             ):
                 return Verdict("unsat", certificate=unsat_cert(), stats=stats)
         if not p1.exhausted:
-            w = p1.step(budget.candidates_per_step)
-            stats["p1_steps"] += 1
+            w = p1.step(cap)
+            if not (first and stats["p1_steps"]):
+                # a lifted check above already counted round 1's step
+                stats["p1_steps"] += 1
             stats["candidates_checked"] = p1.checked
             if w is not None:
                 return Verdict("sat", witness=w, stats=stats)

@@ -36,11 +36,17 @@ class SemenovSystem:
     """Conjunction of equations sum_j beta_j * k^(form_j) + C = 0.
 
     nat lists variables constrained to be nonnegative; the rest range over Z.
+    The base k must be at least 2: for k = 1 every power is 1 and the
+    elimination bound ``delta_bound`` does not exist.
     """
 
     equations: tuple[tuple[tuple[Term, ...], int], ...]
     k: int
     nat: frozenset[str] = frozenset()
+
+    def __post_init__(self):
+        if self.k < 2:
+            raise ValueError(f"SemenovSystem needs base k >= 2, got {self.k}")
 
     @staticmethod
     def make(equations, k: int, nat=()) -> "SemenovSystem":

@@ -61,10 +61,6 @@ class ExpSum:
     def zero(mod: int | None = None) -> "ExpSum":
         return ExpSum((), mod)
 
-    @staticmethod
-    def monomial(form: AffineForm, coef: int = 1, mod: int | None = None) -> "ExpSum":
-        return ExpSum.make([(form, coef)], mod)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -97,25 +93,11 @@ class ExpSum:
     def single(self) -> tuple[AffineForm, int] | None:
         return self.terms[0] if len(self.terms) == 1 else None
 
-    def const_value(self) -> int | None:
-        """If every exponent form is the zero form, the plain coefficient sum."""
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1 and self.terms[0][0] == AffineForm.constant(0):
-            return self.terms[0][1]
-        return None
-
     def variables(self) -> set[str]:
         out: set[str] = set()
         for f, _ in self.terms:
             out.update(f.variables())
         return out
-
-    def min_var_coef(self, var: str) -> int:
-        return min((f.coef(var) for f, _ in self.terms), default=0)
-
-    def min_const(self) -> int:
-        return min((f.const for f, _ in self.terms), default=0)
 
     def eval_fraction(self, k: int, env: dict[str, int]) -> Fraction:
         total = Fraction(0)

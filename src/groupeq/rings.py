@@ -357,27 +357,6 @@ def monic_enum(n: int, d: int) -> Iterator[tuple[int, ...]]:
         yield tuple(cs) + (1,)
 
 
-def poly_render(f: tuple[int, ...]) -> str:
-    if not f:
-        return "0"
-    parts = []
-    for i, c in enumerate(f):
-        if not c:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        elif i == 1:
-            parts.append("t" if c == 1 else f"{c}*t")
-        else:
-            parts.append(f"t^{i}" if c == 1 else f"{c}*t^{i}")
-    return " + ".join(parts)
-
-
-def divisors_desc(n: int) -> list[int]:
-    """Proper divisors of n greater than 1, in decreasing order."""
-    return [d for d in range(n - 1, 1, -1) if n % d == 0]
-
-
 def prime_powers_coprime(k: int) -> Iterator[int]:
     """Prime powers q = p^m with p prime not dividing k, in increasing q order."""
     def is_prime_power(q: int) -> int | None:

@@ -116,3 +116,18 @@ def test_reports_reproducible_modulo_timing():
         rep.pop("timing")
         outs.append(json.dumps(rep, sort_keys=True))
     assert outs[0] == outs[1]
+
+
+def test_internal_error_exits_70(tmp_path, monkeypatch, capsys):
+    from groupeq import cli
+
+    def boom(system, budget):
+        raise RuntimeError("solver fault\nsecond line")
+
+    monkeypatch.setattr(cli, "decide", boom)
+    f = tmp_path / "sat.eq"
+    f.write_text(SAT)
+    assert cli.main([str(f)]) == cli.EXIT_SOFTWARE == 70
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "internal error" in err and "RuntimeError" in err

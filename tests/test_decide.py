@@ -4,6 +4,8 @@ import json
 from groupeq.decide import (
     Budget,
     _BsSearch,
+    _build,
+    _lift_candidates,
     build_report,
     decide,
     enumerate_search,
@@ -185,6 +187,31 @@ def test_scheduler_refutes_in_first_round():
     assert v.stats["rounds"] == 1
     assert v.stats["refuted_at_build"] == 0
     assert verify_certificate(v.certificate, system)
+
+
+def _rendered(system, witness):
+    return {name: render_element(system.spec, e) for name, e in witness.items()}
+
+
+def test_lifted_witness_checked_before_refinement():
+    """A branch solution that lifts to a witness wins before any refinement."""
+    system, v = _run("group wreath Z^1\nt^-1 X Y^-1 = Y^-1 X t^-1")
+    assert v.status == "sat"
+    assert _rendered(system, v.witness) == {"X": "{} | 1", "Y": "{} | 1"}
+    assert v.stats["p2_levels"] == 0
+    assert v.stats["candidates_checked"] == v.stats["p1_steps"] == v.stats["rounds"] == 1
+
+
+def test_zero_lift_of_binomial_pivot():
+    """A pivot with a non-monomial coefficient lifts to 0 when its row's rest
+    vanishes; such a system used to wait for refinement and the balls."""
+    system = parse_system("group wreath Z^0 x Z_3\nY t Z X^-1 = X^-1 Z t Y")
+    budget = Budget()
+    assert _lift_candidates(system, _build(system, budget), budget)
+    v = decide(system, budget)
+    assert v.status == "sat"
+    assert _rendered(system, v.witness) == {"X": "{} | 0", "Y": "{} | 0", "Z": "{} | 0"}
+    assert v.stats["p2_levels"] == 0
 
 
 def test_refinement_frontier_is_crt_consistent():

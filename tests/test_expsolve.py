@@ -3,6 +3,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from groupeq.expsolve import (
     SemenovSystem,
     delta_bound,
@@ -239,3 +241,12 @@ def test_dedup_systems_collapses_equivalent():
     c = [_var("x") + AffineForm.constant(-1)]
     out2 = dedup_systems([a, c], ["x", "y"])
     assert len(out2) == 2
+
+
+def test_semenov_rejects_base_below_two():
+    eq = [([(1, _var("y")), (-1, _var("z"))], 0)]
+    for k in (1, 0, -2):
+        with pytest.raises(ValueError):
+            SemenovSystem.make(eq, k)
+        with pytest.raises(ValueError):
+            SemenovSystem((), k)
