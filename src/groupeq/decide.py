@@ -873,20 +873,20 @@ def _lift_bs(system, final: FinalBranch, k: int, env: dict):
     return out
 
 
-def _lift_wreath(system, final: FinalBranch, spec, env: dict, zero_lift=False):
+def _lift_wreath(system, final: FinalBranch, spec, env: dict):
     """Back-substitute the pivot rows of every part at the parameters env.
 
     A pivot whose coefficient is a single monomial c*t^d is solved by exact
-    division.  Any other coefficient gives no lift, unless zero_lift is set
-    and the rest of the row vanishes: then the pivot unknown is lifted to 0.
+    division.  For any other coefficient the pivot unknown is lifted to 0
+    when the rest of its row vanishes, and there is no lift otherwise.
+    Returns (assignment or None, whether a zero lift was used).
     """
     per_comp: dict[tuple[str, int], dict[int, int]] = {}
+    zeroed = False
     for part in final.parts:
         assigned: dict[str, dict[int, int]] = {}
         for u, row in reversed(part.pivots):
             coef = row.coeffs[u].eval_laurent(env)
-            if len(coef) != 1 and not zero_lift:
-                return None
             acc = dict(row.const.eval_laurent(env))
             for w, s in row.coeffs.items():
                 if w == u:
@@ -898,7 +898,8 @@ def _lift_wreath(system, final: FinalBranch, spec, env: dict, zero_lift=False):
                         acc = _laurent_combine(acc, {dd + dw: cw}, cc, part.mod)
             if len(coef) != 1:
                 if acc:
-                    return None
+                    return None, zeroed
+                zeroed = True
                 assigned[u] = {}
                 continue
             (d0, v0), = coef.items()
@@ -906,7 +907,7 @@ def _lift_wreath(system, final: FinalBranch, spec, env: dict, zero_lift=False):
             for d, c in acc.items():
                 w = _div_exact(-c, v0, part.mod)
                 if w is None:
-                    return None
+                    return None, zeroed
                 if w:
                     res[d - d0] = w
             assigned[u] = res
@@ -926,7 +927,7 @@ def _lift_wreath(system, final: FinalBranch, spec, env: dict, zero_lift=False):
             tors = tuple(per_comp[(name, m + j)].get(d, 0) for j in range(len(orders)))
             items.append((d - y, RElem.make(free, tors, orders)))
         out[name] = WreathElement(LaurentPoly.make(items, m, orders), x)
-    return out
+    return out, zeroed
 
 
 def _lift_candidates(system, build: Build, budget: Budget):
@@ -938,14 +939,7 @@ def _lift_candidates(system, build: Build, budget: Budget):
     spec = system.spec
     seen = set()
     out = []
-    retry = []
-
-    def add(cand):
-        key = tuple(sorted((v, repr(g)) for v, g in cand.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(cand)
-
+    zero_lifts = []
     for final in build.finals:
         nparams = len(final.params)
         if nparams == 0:
@@ -956,21 +950,19 @@ def _lift_candidates(system, build: Build, budget: Budget):
             grids = [(0,) * nparams]
         for grid in grids:
             env = dict(zip(final.params, grid))
-            cand = (
-                _lift_bs(system, final, build.k, env)
-                if spec.kind == "bs"
-                else _lift_wreath(system, final, spec, env)
-            )
-            if cand is None:
-                if spec.kind != "bs":
-                    retry.append((final, env))
-                continue
-            add(cand)
-    for final, env in retry:
-        cand = _lift_wreath(system, final, spec, env, zero_lift=True)
-        if cand is not None:
-            add(cand)
-    return out
+            if spec.kind == "bs":
+                cand, zeroed = _lift_bs(system, final, build.k, env), False
+            else:
+                cand, zeroed = _lift_wreath(system, final, spec, env)
+            if cand is not None:
+                (zero_lifts if zeroed else out).append(cand)
+    uniq = []
+    for cand in out + zero_lifts:
+        key = tuple(sorted((v, repr(g)) for v, g in cand.items()))
+        if key not in seen:
+            seen.add(key)
+            uniq.append(cand)
+    return uniq
 
 
 class _WitnessSearch:
@@ -1012,15 +1004,11 @@ class _WitnessSearch:
                 for combo in itertools.product(*[layer(s) for s in sizes]):
                     yield dict(zip(names, combo))
 
-    def step(self, cap: int, pending_only=False):
-        """Check up to cap candidates, pending ones first; with pending_only,
-        stop when the pending queue runs dry instead of opening the balls."""
+    def step(self, cap: int):
         n = 0
         while n < cap:
             if self.pending:
                 cand = self.pending.popleft()
-            elif pending_only:
-                return None
             else:
                 cand = next(self.gen, None)
                 if cand is None:
@@ -1148,7 +1136,7 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
         if first and p1.pending:
             # lifted branch solutions are the cheapest witnesses: check them
             # before refinement, against the round's shared candidate cap
-            w = p1.step(cap, pending_only=True)
+            w = p1.step(min(cap, len(p1.pending)))
             stats["p1_steps"] += 1
             stats["candidates_checked"] = p1.checked
             if w is not None:

@@ -1,4 +1,5 @@
 import copy
+import importlib
 import json
 
 from groupeq.decide import (
@@ -12,7 +13,7 @@ from groupeq.decide import (
     verify_certificate,
 )
 from groupeq.frontend import parse_system, system_hash
-from groupeq.groups import render_element, verify_witness
+from groupeq.groups import parse_element, render_element, verify_witness
 from groupeq.reduce import reduce_bs, triangularize
 from groupeq.rings import mult_order
 
@@ -212,6 +213,31 @@ def test_zero_lift_of_binomial_pivot():
     assert v.status == "sat"
     assert _rendered(system, v.witness) == {"X": "{} | 0", "Y": "{} | 0", "Z": "{} | 0"}
     assert v.stats["p2_levels"] == 0
+
+
+def test_failing_lift_does_not_change_first_round_refutation(monkeypatch):
+    """Lifted candidates are checked before refinement even on unsat systems:
+    a lift that fails verification costs one check, and the refutation, its
+    certificate and the round it lands in stay the same."""
+    decide_mod = importlib.import_module("groupeq.decide")
+
+    text = "group wreath Z^0 x Z_2\nX Y = Y^-1 X a^-1"
+    system, plain = _run(text)
+    assert plain.status == "unsat"
+    assert _build(system, Budget()).finals
+    assert plain.stats["candidates_checked"] == plain.stats["p1_steps"] == 0
+    assert plain.stats["rounds"] == 1
+
+    lift = {name: parse_element(system.spec, "{} | 0") for name in system.variables}
+    assert not verify_witness(system, lift)
+    monkeypatch.setattr(decide_mod, "_lift_candidates", lambda *args: [lift, lift])
+    v = decide(system)
+    assert v.status == "unsat"
+    assert v.certificate == plain.certificate
+    assert verify_certificate(v.certificate, system)
+    assert v.stats["candidates_checked"] == v.stats["p1_steps"] + 1 == 2
+    assert v.stats["rounds"] == 1
+    assert v.stats["p2_levels"] == plain.stats["p2_levels"]
 
 
 def test_refinement_frontier_is_crt_consistent():
