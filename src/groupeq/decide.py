@@ -17,13 +17,22 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .frontend import EquationSystem, system_hash
-from .groups import BsElement, WreathElement, verify_witness
+from .groups import (
+    BsElement,
+    WreathElement,
+    generator,
+    identity,
+    mul,
+    power,
+    verify_witness,
+)
 from .intlinalg import AffineForm, apply_solution
 from .expsolve import SemenovSystem, semenov_solve, grouping_solve, solve_forms
 from .reduce import (
@@ -786,43 +795,39 @@ def _bs_layer(k: int, s: int):
     return out
 
 
-def _wreath_ball_member(elem: WreathElement, r: int) -> bool:
-    if abs(elem.shift) > r:
-        return False
-    for d, c in elem.poly.coeffs:
-        if abs(d) > r:
-            return False
-        if any(abs(v) > r for v in c.free):
-            return False
-        if any(v > r for v in c.torsion):
-            return False
-    return True
-
-
 def _wreath_layer(spec, r: int, cap: int):
+    """The first cap elements of the radius-r ball outside the radius r-1 ball.
+
+    An element of the radius-r ball has its shift, its lamp positions and its
+    free lamp values in [-r, r], and its torsion values in [0, min(n-1, r)].
+    Elements come shift first, then the coefficients position by position,
+    each in product order over its components.
+    """
     m, orders = spec.free_rank, spec.torsion
     if r == 0:
         return [WreathElement(LaurentPoly.zero(m, orders), 0)]
-    ranges = []
-    positions = list(range(-r, r + 1))
-    for _ in positions:
-        for _ in range(m):
-            ranges.append(list(range(-r, r + 1)))
-        for n in orders:
-            ranges.append(list(range(0, min(n - 1, r) + 1)))
-    width = m + len(orders)
+    ranges = [range(-r, r + 1)] * m + [range(min(n - 1, r) + 1) for n in orders]
+    chunks = list(itertools.product(*ranges))
+    # per position, every coefficient as (poly item or None when zero,
+    # whether it puts the element outside the radius r-1 ball)
+    slots = []
+    for d in range(-r, r + 1):
+        opts = []
+        for ch in chunks:
+            if any(ch):
+                item = (d, RElem(ch[:m], ch[m:], orders))
+                opts.append((item, abs(d) == r or r in ch or -r in ch))
+            else:
+                opts.append((None, False))
+        slots.append(opts)
     out = []
     for x in range(-r, r + 1):
-        for flat in itertools.product(*ranges):
-            items = []
-            for i, d in enumerate(positions):
-                chunk = flat[i * width : (i + 1) * width]
-                if any(chunk):
-                    items.append((d, RElem.make(chunk[:m], chunk[m:], orders)))
-            elem = WreathElement(LaurentPoly.make(items, m, orders), x)
-            if _wreath_ball_member(elem, r - 1):
+        edge = abs(x) == r
+        for combo in itertools.product(*slots):
+            if not edge and not any(new for _, new in combo):
                 continue
-            out.append(elem)
+            items = tuple(item for item, _ in combo if item is not None)
+            out.append(WreathElement(LaurentPoly(items, m, orders), x))
             if len(out) >= cap:
                 return out
     return out
@@ -965,11 +970,78 @@ def _lift_candidates(system, build: Build, budget: Budget):
     return uniq
 
 
+def _witness_check(system):
+    """A test of candidate assignments that accepts what ``verify_witness`` does.
+
+    Candidates must assign every unknown of the system.  Once per system it
+    resolves the generator letters, multiplies each run of them into one
+    element, evaluates the sides without unknowns, and writes each equation's
+    total shift (the t-exponent, or the b-exponent in BS(1,k)) as an integer
+    form const + sum of e * shift(X).  Shift is a homomorphism onto Z, so a
+    candidate with a nonzero form fails; only the others have their sides
+    with unknowns multiplied out.
+    """
+    spec = system.spec
+    unknowns = set(system.variables)
+    shift_of = operator.attrgetter("r" if spec.kind == "bs" else "shift")
+    gens: dict = {}
+
+    def compile_side(word, sign, coefs):
+        # terms (unknown, exponent, None) or (None, 0, constant element)
+        terms, run, const = [], None, 0
+        for name, e in word:
+            if name in unknowns:
+                coefs[name] = coefs.get(name, 0) + sign * e
+                if run is not None:
+                    terms.append((None, 0, run))
+                    run = None
+                terms.append((name, e, None))
+                continue
+            if name not in gens:
+                gens[name] = generator(spec, name)
+            const += sign * e * shift_of(gens[name])
+            g = power(spec, gens[name], e)
+            run = g if run is None else mul(spec, run, g)
+        if run is not None or not terms:
+            terms.append((None, 0, identity(spec) if run is None else run))
+        return terms, const
+
+    forms, sides = [], []
+    for lhs, rhs in system.equations:
+        coefs: dict = {}
+        lterms, lconst = compile_side(lhs, 1, coefs)
+        rterms, rconst = compile_side(rhs, -1, coefs)
+        forms.append((lconst + rconst, [(x, c) for x, c in coefs.items() if c]))
+        sides.append((lterms, rterms))
+
+    def value(terms, assignment):
+        acc = None
+        for name, e, g in terms:
+            if name is not None:
+                g = power(spec, assignment[name], e)
+            acc = g if acc is None else mul(spec, acc, g)
+        return acc
+
+    def check(assignment) -> bool:
+        for total, coefs in forms:
+            for name, c in coefs:
+                total += c * shift_of(assignment[name])
+            if total:
+                return False
+        return all(
+            value(lterms, assignment) == value(rterms, assignment)
+            for lterms, rterms in sides
+        )
+
+    return check
+
+
 class _WitnessSearch:
-    def __init__(self, system, build: Build | None, budget: Budget, extra=()):
+    def __init__(self, system, build: Build | None, budget: Budget):
         self.system = system
         self.budget = budget
-        self.pending = deque(extra)
+        self.check = _witness_check(system)
+        self.pending = deque()
         if build is not None:
             self.pending.extend(_lift_candidates(system, build, budget))
         self.gen = self._assignments()
@@ -1016,19 +1088,26 @@ class _WitnessSearch:
                     return None
             n += 1
             self.checked += 1
-            if verify_witness(self.system, cand):
+            if self.check(cand):
                 return cand
         return None
 
 
-def enumerate_search(system: EquationSystem, budget: Budget | None = None, extra=()):
+def _verified(system, witness: dict) -> dict:
+    """The witness, once the plain ``verify_witness`` has accepted it too."""
+    if not verify_witness(system, witness):
+        raise RuntimeError("witness accepted by the compiled check fails verify_witness")
+    return witness
+
+
+def enumerate_search(system: EquationSystem, budget: Budget | None = None):
     """Standalone witness enumeration; returns a verified assignment or None."""
     budget = budget or Budget()
-    search = _WitnessSearch(system, None, budget, extra)
+    search = _WitnessSearch(system, None, budget)
     while not search.exhausted:
         w = search.step(budget.candidates_per_step)
         if w is not None:
-            return w
+            return _verified(system, w)
     return None
 
 
@@ -1140,7 +1219,7 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
             stats["p1_steps"] += 1
             stats["candidates_checked"] = p1.checked
             if w is not None:
-                return Verdict("sat", witness=w, stats=stats)
+                return Verdict("sat", witness=_verified(system, w), stats=stats)
             cap -= p1.checked
         # the first round gives refinement a head start: cheap early levels
         # often refute outright, skipping ball enumeration entirely
@@ -1163,7 +1242,7 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
                 stats["p1_steps"] += 1
             stats["candidates_checked"] = p1.checked
             if w is not None:
-                return Verdict("sat", witness=w, stats=stats)
+                return Verdict("sat", witness=_verified(system, w), stats=stats)
         if not progressed and p1.exhausted:
             break
 

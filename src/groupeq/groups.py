@@ -133,11 +133,16 @@ def inv(spec: GroupSpec, g):
 
 
 def power(spec: GroupSpec, g, e: int):
+    """g^e by square and multiply (g^-1 raised to -e when e < 0)."""
     if e < 0:
-        return power(spec, inv(spec, g), -e)
+        g, e = inv(spec, g), -e
     acc = identity(spec)
-    for _ in range(e):
-        acc = mul(spec, acc, g)
+    while e:
+        if e & 1:
+            acc = mul(spec, acc, g)
+        e >>= 1
+        if e:
+            g = mul(spec, g, g)
     return acc
 
 

@@ -11,8 +11,8 @@ signed sums of t-power monomials with affine exponents in the shift
 variables x_i and the support offsets y_i, plus one shared linear equation
 over the x_i.
 
-The triangularization and the nonnegativity (sign) split live here too; the
-downstream search procedures consume the branches this module produces.
+The triangularization lives here too; the downstream search procedures
+consume the branches this module produces.
 """
 
 from __future__ import annotations
@@ -82,10 +82,6 @@ class ExpSum:
 
     def scale(self, s: int) -> "ExpSum":
         return ExpSum.make([(f, c * s) for f, c in self.terms], self.mod)
-
-    def shift_exp(self, form: AffineForm) -> "ExpSum":
-        """Multiply by base^form."""
-        return ExpSum.make([(f + form, c) for f, c in self.terms], self.mod)
 
     def substitute(self, env: dict[str, AffineForm]) -> "ExpSum":
         return ExpSum.make([(f.substitute(env), c) for f, c in self.terms], self.mod)
@@ -428,57 +424,6 @@ def triangularize(rows: list[Row], mod: int | None, branch_cap: int = 512) -> li
 
 class BranchOverflow(Exception):
     """Raised when the case-split tree exceeds its cap; caller degrades to Unknown."""
-
-
-# ---------------------------------------------------------------------------
-# Nonnegativity split
-
-
-@dataclass
-class SignedBranch:
-    tri: TriBranch
-    flips: tuple[str, ...]  # parameters replaced by their negatives
-    params: tuple[str, ...]  # all exponent variables, now ranging over N
-
-
-def _clear_row(row: Row) -> Row:
-    """Multiply the equation by base^M so every exponent form is N-valued."""
-    forms = [f for s in row.coeffs.values() for f, _ in s.terms]
-    forms += [f for f, _ in row.const.terms]
-    if not forms:
-        return row
-    lift: dict[str, int] = {}
-    for f in forms:
-        for v, c in f.terms:
-            if c < 0:
-                lift[v] = max(lift.get(v, 0), -c)
-    cmin = min(f.const for f in forms)
-    m = AffineForm.make(lift, max(0, -cmin))
-    if not m.terms and m.const == 0:
-        return row
-    return Row({u: s.shift_exp(m) for u, s in row.coeffs.items()}, row.const.shift_exp(m))
-
-
-def _clear_sum(s: ExpSum) -> ExpSum:
-    return _clear_row(Row({}, s)).const
-
-
-def sign_split(branch: TriBranch, params: list[str]) -> list[SignedBranch]:
-    """2^v branches over the sign patterns of the exponent parameters.
-
-    In each branch negated parameters are replaced by their negatives, and each
-    equation is multiplied through by a base power so that all exponent forms
-    take nonnegative values on N-assignments.
-    """
-    out = []
-    for mask in range(1 << len(params)):
-        flips = tuple(p for i, p in enumerate(params) if mask >> i & 1)
-        env = {p: AffineForm.var(p, -1) for p in flips}
-        pivots = [(u, _clear_row(r.substitute(env))) for u, r in branch.pivots]
-        residuals = [_clear_sum(s.substitute(env)) for s in branch.residuals]
-        tri = TriBranch(pivots, residuals, branch.side, branch.path + f"/s{mask}")
-        out.append(SignedBranch(tri=tri, flips=flips, params=tuple(params)))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,38 @@
 import copy
 import importlib
+import itertools
 import json
+import random
 
 from groupeq.decide import (
     Budget,
     _BsSearch,
     _build,
+    _bs_layer,
     _lift_candidates,
+    _witness_check,
+    _wreath_layer,
     build_report,
     decide,
     enumerate_search,
     verify_certificate,
 )
 from groupeq.frontend import parse_system, system_hash
-from groupeq.groups import parse_element, render_element, verify_witness
+from groupeq.groups import (
+    GroupSpec,
+    WreathElement,
+    eval_word,
+    inv,
+    mul,
+    parse_element,
+    render_element,
+    verify_witness,
+)
 from groupeq.reduce import reduce_bs, triangularize
-from groupeq.rings import mult_order
+from groupeq.rings import LaurentPoly, RElem, mult_order
+
+# the benchmark's wreath families, as (free rank, torsion orders)
+WREATH_FAMILIES = [(0, (2,)), (0, (3,)), (1, ()), (1, (2,)), (2, ())]
 
 
 def _run(text, budget=None):
@@ -326,3 +343,157 @@ def test_bs1_report_fields():
     assert rep["group"] == "group BS 1"
     assert rep["witness"] == {"X": "2 | 1"}
     assert rep["timing"]["seconds"] == 1.25
+
+
+def _lamp_names(spec):
+    return [f"a{i + 1}" for i in range(spec.free_rank)] + [
+        f"c{j + 1}" for j in range(len(spec.torsion))
+    ]
+
+
+def _word_of(spec, g):
+    """Generator letters that multiply out to g."""
+    if spec.kind == "bs":
+        d = g.u.depth
+        letters = [("b", d), ("a", g.u.num), ("b", -d), ("b", g.r)]
+    else:
+        letters = []
+        for d, c in g.poly.coeffs:
+            vals = c.free + c.torsion
+            letters += [("t", d)] + list(zip(_lamp_names(spec), vals)) + [("t", -d)]
+        letters.append(("t", g.shift))
+    return [(n, e) for n, e in letters if e]
+
+
+def _text(word):
+    return " ".join(f"{n}^{e}" for n, e in word) or "1"
+
+
+def _shift(g):
+    return g.r if hasattr(g, "r") else g.shift
+
+
+def test_witness_check_agrees_with_verify_witness():
+    """The per-system compiled check accepts exactly the candidates that the
+    plain re-multiplication accepts: ball candidates, lifted branch
+    solutions, planted witnesses, and planted witnesses whose lamps or u
+    were changed (shift kept) or whose shift was changed."""
+    rng = random.Random(61)
+    specs = [GroupSpec.bs(2), GroupSpec.bs(3)]
+    specs += [GroupSpec.wreath(m, t) for m, t in WREATH_FAMILIES]
+    exps = [-3, -2, -1, 1, 2, 3]
+    budget = Budget()
+    tally = {"pairs": 0, "accepted": 0, "lifted": 0, "rejected_after_shift": 0}
+    for spec in specs:
+        shift_gen = "b" if spec.kind == "bs" else "t"
+        lamps = ["a"] if spec.kind == "bs" else _lamp_names(spec)
+        gens = [shift_gen] + lamps
+        if spec.kind == "bs":
+            balls = [g for s in range(4) for g in _bs_layer(spec.k, s)]
+        else:
+            balls = [g for r in range(3) for g in _wreath_layer(spec, r, 40)]
+
+        def rand_word(names, lo=1, hi=4):
+            return [(rng.choice(names), rng.choice(exps)) for _ in range(rng.randint(lo, hi))]
+
+        def lamp_at(d, v):
+            # a lamp value v at position d: shift 0, so shift forms still fit
+            return eval_word(spec, [(shift_gen, d), (rng.choice(lamps), v), (shift_gen, -d)], {})
+
+        for _ in range(10):
+            unknowns = ["X", "Y"][: rng.randint(1, 2)]
+            planted = {x: rng.choice(balls) for x in unknowns}
+            lines = []
+            for _ in range(rng.randint(1, 3)):
+                shape = rng.random()
+                if shape < 0.1:
+                    lhs, rhs = rand_word(gens), rand_word(gens, 0, 2)
+                else:
+                    lhs = rand_word(unknowns + gens)
+                    rhs = rand_word(unknowns + gens if shape < 0.5 else gens, 0, 3)
+                if rng.random() < 0.8:
+                    # append the constant that makes the planted assignment solve it
+                    gap = mul(spec, inv(spec, eval_word(spec, rhs, planted)),
+                              eval_word(spec, lhs, planted))
+                    rhs = rhs + _word_of(spec, gap)
+                lines.append(f"{_text(lhs)} = {_text(rhs)}")
+            system = parse_system(spec.render() + "\n" + "\n".join(lines))
+            names = system.variables
+            if not names:
+                continue
+            planted = {x: planted[x] for x in names}
+            lifted = _lift_candidates(system, _build(system, budget), budget)
+            cands = [planted] + lifted
+            for _ in range(5):
+                cands.append({x: rng.choice(balls) for x in names})
+            for _ in range(4):
+                x = rng.choice(names)
+                bump = lamp_at(rng.randint(-2, 2), rng.choice(exps))
+                cands.append({**planted, x: mul(spec, planted[x], bump)})
+            x = rng.choice(names)
+            step = eval_word(spec, [(shift_gen, rng.choice(exps))], {})
+            cands.append({**planted, x: mul(spec, planted[x], step)})
+
+            check = _witness_check(system)
+            for cand in cands:
+                want = verify_witness(system, cand)
+                assert check(cand) == want, (system, cand)
+                shifts_fit = all(
+                    _shift(eval_word(spec, lhs, cand)) == _shift(eval_word(spec, rhs, cand))
+                    for lhs, rhs in system.equations
+                )
+                tally["pairs"] += 1
+                tally["accepted"] += want
+                tally["rejected_after_shift"] += shifts_fit and not want
+            tally["lifted"] += len(lifted)
+    assert tally["pairs"] >= 500, tally
+    assert tally["accepted"] >= 60, tally
+    assert tally["rejected_after_shift"] >= 100, tally
+    assert tally["lifted"] >= 20, tally
+
+
+def _member(elem, r):
+    """Whether elem lies in the radius-r ball that ``_wreath_layer`` draws from."""
+    if abs(elem.shift) > r:
+        return False
+    for d, c in elem.poly.coeffs:
+        if abs(d) > r or any(abs(v) > r for v in c.free) or any(v > r for v in c.torsion):
+            return False
+    return True
+
+
+def _reference_layer(spec, r, cap):
+    """The layer as first written: every element made, then the r-1 ball dropped."""
+    m, orders = spec.free_rank, spec.torsion
+    if r == 0:
+        return [WreathElement(LaurentPoly.zero(m, orders), 0)]
+    positions = list(range(-r, r + 1))
+    ranges = []
+    for _ in positions:
+        ranges += [list(range(-r, r + 1))] * m
+        ranges += [list(range(0, min(n - 1, r) + 1)) for n in orders]
+    width = m + len(orders)
+    out = []
+    for x in range(-r, r + 1):
+        for flat in itertools.product(*ranges):
+            items = []
+            for i, d in enumerate(positions):
+                chunk = flat[i * width : (i + 1) * width]
+                if any(chunk):
+                    items.append((d, RElem.make(chunk[:m], chunk[m:], orders)))
+            elem = WreathElement(LaurentPoly.make(items, m, orders), x)
+            if _member(elem, r - 1):
+                continue
+            out.append(elem)
+            if len(out) >= cap:
+                return out
+    return out
+
+
+def test_wreath_layer_matches_reference():
+    for m, tors in WREATH_FAMILIES:
+        spec = GroupSpec.wreath(m, tors)
+        for r in range(4):
+            for cap in (7, 2000):
+                got = _wreath_layer(spec, r, cap)
+                assert got == _reference_layer(spec, r, cap), (spec, r, cap)

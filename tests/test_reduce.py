@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 import random
 
 from groupeq.frontend import parse_spec, parse_system, render_word
@@ -13,7 +12,6 @@ from groupeq.reduce import (
     eval_wreath_system,
     reduce_bs,
     reduce_wreath,
-    sign_split,
     triangularize,
     wreath_coords,
 )
@@ -259,62 +257,6 @@ def test_triangularize_side_bookkeeping():
             # a sum assumed nonzero never simultaneously appears as a residual
             for s in br.side:
                 assert s not in br.residuals
-
-
-def test_sign_split_trivial_cases():
-    from groupeq.reduce import TriBranch
-
-    # forms already nonnegative on natural assignments: nothing to clear
-    row = Row(
-        {"X": ExpSum.make([(AffineForm.var("p"), 1)])},
-        ExpSum.make([(AffineForm.constant(0), -1)]),
-    )
-    br = TriBranch([("X", row)], [], [], "")
-    (single,) = sign_split(br, [])
-    assert single.tri.pivots == br.pivots
-    assert single.flips == ()
-    two = sign_split(br, ["p"])
-    assert len(two) == 2
-    assert two[0].flips == ()
-    assert two[1].flips == ("p",)
-    # the flipped branch reads k^-p * X = 1, cleared to X = k^p
-    (_, flipped_row) = two[1].tri.pivots[0]
-    for p in range(0, 4):
-        coef = flipped_row.coeffs["X"].eval_fraction(2, {"p": p})
-        const = flipped_row.const.eval_fraction(2, {"p": p})
-        assert -const / coef == Fraction(2) ** p
-        # and every exponent form stays nonnegative on natural p
-        for f, _ in list(flipped_row.coeffs["X"].terms) + list(
-            flipped_row.const.terms
-        ):
-            assert f.evaluate({"p": p}) >= 0
-
-
-def test_sign_split_clears_to_natural_exponents():
-    # k^y1 - k^y2 + k^y3 + c with y1 negated: multiply through by k^y1
-    y1, y2, y3 = (AffineForm.var(v) for v in ("y1", "y2", "y3"))
-    c = 7
-    residual = ExpSum.make(
-        [(y1, 1), (y2, -1), (y3, 1), (AffineForm.constant(0), c)]
-    )
-    from groupeq.reduce import TriBranch
-
-    br = TriBranch([], [residual], [], "")
-    splits = sign_split(br, ["y1", "y2", "y3"])
-    flipped = [s for s in splits if s.flips == ("y1",)]
-    assert len(flipped) == 1
-    (res,) = flipped[0].tri.residuals
-    got = {(f.render(), coef) for f, coef in res.terms}
-    assert got == {
-        ("0", 1),
-        ("y1+y2", -1),
-        ("y1+y3", 1),
-        ("y1", c),
-    }
-    # every exponent form is nonnegative whenever the parameters are natural
-    for env in itertools.product(range(3), repeat=3):
-        vals = dict(zip(("y1", "y2", "y3"), env))
-        assert all(f.evaluate(vals) >= 0 for f, _ in res.terms)
 
 
 def test_wreath_coords_round_trip():
