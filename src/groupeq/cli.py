@@ -148,7 +148,9 @@ def _debug_exp(system, out):
             for r in part.residuals:
                 print(f"    [{mod}] residual: {r.render(base)} = 0", file=out)
     for rb in build.refuted:
-        print(f"  refuted branch {rb.path}: {rb.cert['kind']}", file=out)
+        # a dead residual system is certified only for an unsat verdict
+        what = "dead residuals" if rb.cert is None else rb.cert["kind"]
+        print(f"  refuted branch {rb.path}: {what}", file=out)
     if build.overflow:
         print("  (branch cap hit: coverage incomplete)", file=out)
 

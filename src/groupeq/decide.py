@@ -65,10 +65,19 @@ from .rings import (
 VERSION = "0.1.0"
 CERT_VERSION = 1
 
+# refinement rounds tried on a dead residual system before its certificate
+# falls back to the exact solver's emptiness record
+ATTEMPT_LEVELS = 10
+
 
 @dataclass
 class Budget:
-    """Resource limits; every field bounds one axis of the search."""
+    """Resource limits; every field bounds one axis of the search.
+
+    The refinement that certifies a dead residual branch runs only when
+    ``decide`` returns unsat, for at most ``ATTEMPT_LEVELS`` rounds, within
+    ``max_prime_power``, ``max_monic_degree`` and ``node_cap``.
+    """
 
     steps: int = 48                  # scheduler rounds per procedure
     max_prime_power: int = 256       # largest modulus q = p^m tried
@@ -78,7 +87,6 @@ class Budget:
     branch_cap: int = 400            # case-split branches before giving up
     node_cap: int = 4000             # refinement nodes kept per level
     candidates_per_step: int = 4000
-    attempt_levels: int = 10         # modulus levels tried on dead residuals
 
 
 @dataclass
@@ -114,7 +122,7 @@ class FinalBranch:
 @dataclass
 class Refuted:
     path: str
-    cert: dict
+    cert: dict | None  # None: a dead residual system, certified on demand
     parts: list
     params: list
 
@@ -156,12 +164,30 @@ def _render_rows(parts, kind) -> list:
     return out
 
 
+def _cert_rows(parts, kind, stage) -> list:
+    """The rows that a certificate at ``stage`` records for ``parts``."""
+    if stage == "residual":
+        base = "k" if kind == "bs" else "t"
+        return [s.render(base) + " = 0" for part in parts for s in part.residuals]
+    return _render_rows(parts, kind)
+
+
+def _residual_solutions(kind, k, part: Part) -> list:
+    """The exact solver's disjunction for the residual rows of one part."""
+    eqs = [_residual_terms(s) for s in part.residuals]
+    if kind == "bs":
+        return semenov_solve(SemenovSystem.make([(t, 0) for t in eqs], k))
+    return grouping_solve(eqs, part.mod)
+
+
 def _build(system: EquationSystem, budget: Budget, deadline=None) -> Build:
     """Case analysis over the reduced system.
 
     Returns the surviving triangular branches plus the ones refuted on the
-    way (each with a self-contained certificate).  Deterministic: replaying
-    with the same caps reproduces branches and certificates verbatim.
+    way.  A branch whose residual system has no solution is recorded with
+    only its residual rows; ``_refute_residuals`` certifies it when an unsat
+    verdict needs that.  Deterministic: replaying with the same caps
+    reproduces branches and recorded certificates verbatim.
     """
     spec = system.spec
     if spec.kind == "bs":
@@ -181,13 +207,7 @@ def _build(system: EquationSystem, budget: Budget, deadline=None) -> Build:
 
     sol = solve_forms(lin, evars)
     if sol.status == "empty":
-        cert = {
-            "kind": "linear_infeasible",
-            "stage": "shared-linear",
-            "rows": [[f.coef(v) for v in evars] for f in lin],
-            "rhs": [-f.const for f in lin],
-            "witness_row": list(sol.cert_row),
-        }
+        cert = _linear_infeasible("shared-linear", lin, evars, sol)
         return Build(kind, k, [], [], False, cert, lin, evars)
 
     varfs, params, _ = apply_solution(
@@ -237,20 +257,13 @@ def _build(system: EquationSystem, budget: Budget, deadline=None) -> Build:
             for part in parts:
                 if not part.residuals:
                     continue
-                eqs = [_residual_terms(s) for s in part.residuals]
-                if kind == "bs":
-                    dis = semenov_solve(
-                        SemenovSystem.make([(t, 0) for t in eqs], k)
-                    )
-                else:
-                    dis = grouping_solve(eqs, part.mod)
+                dis = _residual_solutions(kind, k, part)
                 if not dis:
-                    dead = part
+                    dead = Part(part.component, part.mod, [], part.residuals)
                     break
                 disjunctions.append(dis)
             if dead is not None:
-                cert = _refute_residuals(kind, k, dead, st.params, budget)
-                refuted.append(Refuted(path, cert, [dead], st.params))
+                refuted.append(Refuted(path, None, [dead], st.params))
                 continue
 
             if not disjunctions:
@@ -329,12 +342,14 @@ class _BsSearch:
     refutation and the processed chain is the certificate.
     """
 
+    component = None
+
     def __init__(self, rows, residuals, params, k, budget, chain=None):
         self.rows = [row for _, row in rows]
         self.unknowns = sorted({u for row in self.rows for u in row.coeffs})
         self.residuals = list(residuals)
         self.params = list(params)
-        self.k = k
+        self.base = k
         self.budget = budget
         if chain is None:
             self.schedule = prime_powers_coprime(k)
@@ -350,7 +365,7 @@ class _BsSearch:
     def _sum_mod(self, s: ExpSum, env: dict, period: int, q: int) -> int:
         total = 0
         for f, c in s.terms:
-            total += c * pow(self.k, f.evaluate(env) % period, q)
+            total += c * pow(self.base, f.evaluate(env) % period, q)
         return total % q
 
     def step(self) -> str:
@@ -361,7 +376,7 @@ class _BsSearch:
             self.state = "exhausted"
             return self.state
         p = _prime_of(q)
-        period = mult_order(self.k, q)
+        period = mult_order(self.base, q)
         m2 = _lcm(self.var_mod, period)
         ext = m2 // self.var_mod
         work_cap = self.budget.node_cap * 200
@@ -433,11 +448,15 @@ class _WreathSearch:
     level (base-H digit expansion, so non-coprime moduli are fine).
     """
 
-    def __init__(self, rows, residuals, params, ring, budget, chain=None):
+    base = None
+    projected_from = None
+
+    def __init__(self, rows, residuals, params, ring, budget, chain=None, component=None):
         self.rows = [row for _, row in rows] + [Row({}, s) for s in residuals]
         self.unknowns = sorted({u for row in self.rows for u in row.coeffs})
         self.params = list(params)
         self.ring = ring
+        self.component = component
         self.budget = budget
         if chain is None:
             self.schedule = self._monics()
@@ -535,7 +554,7 @@ class _WreathSearch:
                         if len(new) > self.budget.node_cap:
                             self.state = "saturated"
                             return self.state
-        self.chain.append(tuple(h))
+        self.chain.append(list(h))
         self.var_mod = m2
         self.hprod = poly_mul(self.hprod, h, n)
         if not new:
@@ -565,26 +584,24 @@ class _ZPartSearch:
     """Integer-coefficient component handled through its prime projections.
 
     Primes are brought in one per step and all open projections advance one
-    level each step, so no single prime can starve the others.
+    level each step, so no single prime can starve the others.  Once a
+    projection is refuted, ``ring`` is its prime and ``chain`` its chain.
     """
 
-    def __init__(self, pivots, residuals, params, budget, chain=None):
+    base = None
+    projected_from = 0
+
+    def __init__(self, pivots, residuals, params, budget, component):
         self.pivots = pivots
         self.residuals = residuals
         self.params = params
         self.budget = budget
+        self.component = component
         self.subs: list = []
         self.state = "running"
         self.ring = None
         self.chain: list = []
-        if chain is not None:
-            rows, res = _project_rows(pivots, residuals, chain["ring"])
-            self.subs = [
-                (chain["ring"], _WreathSearch(rows, res, params, chain["ring"], budget, chain["chain"]))
-            ]
-            self.primegen = iter(())
-        else:
-            self.primegen = primes()
+        self.primegen = primes()
 
     def step(self) -> str:
         if self.state != "running":
@@ -616,15 +633,14 @@ def _part_searches(kind, k, part, params, budget):
         return [
             ({"base": k}, _BsSearch(part.pivots, part.residuals, params, k, budget))
         ]
-    out = []
     if part.mod is None:
-        out.append(
+        return [
             (
                 {"component": part.component, "ring": 0},
-                _ZPartSearch(part.pivots, part.residuals, params, budget),
+                _ZPartSearch(part.pivots, part.residuals, params, budget, part.component),
             )
-        )
-        return out
+        ]
+    out = []
     rings_to_try = [part.mod] + [d for d in range(part.mod - 1, 1, -1) if part.mod % d == 0]
     for d in rings_to_try:
         rows, res = (
@@ -635,23 +651,29 @@ def _part_searches(kind, k, part, params, budget):
         out.append(
             (
                 {"component": part.component, "ring": d},
-                _WreathSearch(rows, res, params, d, budget),
+                _WreathSearch(rows, res, params, d, budget, component=part.component),
             )
         )
     return out
 
 
 class _BranchSearches:
-    """Bundle of obstruction searches for one final branch."""
+    """Obstruction searches for the parts of one branch, stepped in rounds.
 
-    def __init__(self, kind, k, final: FinalBranch, budget):
-        self.kind = kind
-        self.final = final
+    The first search refuted yields the branch's certificate, recorded at
+    ``stage`` ("pivots" for a final branch, "residual" for a dead residual
+    system).
+    """
+
+    def __init__(self, kind, k, parts, params, budget, stage="pivots"):
+        self.params = params
+        self.stage = stage
+        self.rows = _cert_rows(parts, kind, stage)
         self.searches = []
-        for part in final.parts:
+        for part in parts:
             if not part.pivots and not part.residuals:
                 continue
-            self.searches.extend(_part_searches(kind, k, part, final.params, budget))
+            self.searches.extend(_part_searches(kind, k, part, params, budget))
         self.state = "running" if self.searches else "stalled"
         self.cert: dict | None = None
         self.levels = 0
@@ -666,7 +688,7 @@ class _BranchSearches:
             r = search.step()
             self.levels += 1
             if r == "refuted":
-                self.cert = _search_cert(self.kind, self.final, desc, search)
+                self.cert = _obstruction(search, self.stage, self.rows, self.params)
                 self.state = "refuted"
                 return self.state
             if r == "running":
@@ -676,106 +698,41 @@ class _BranchSearches:
         return self.state
 
 
-def _search_cert(kind, final, desc, search) -> dict:
-    rows = _render_rows(final.parts, kind)
-    if kind == "bs":
-        return {
-            "kind": "modulus_obstruction",
-            "stage": "pivots",
-            "base": desc["base"],
-            "chain": list(search.chain),
-            "rows": rows,
-            "params": list(final.params),
-        }
-    if isinstance(search, _ZPartSearch):
-        inner = {
-            "kind": "modulus_obstruction",
-            "stage": "pivots",
-            "ring": search.ring,
-            "projected_from": 0,
-            "chain": [list(h) for h in search.chain],
-            "rows": rows,
-            "params": list(final.params),
-        }
-    else:
-        inner = {
-            "kind": "modulus_obstruction",
-            "stage": "pivots",
-            "ring": desc["ring"],
-            "projected_from": None,
-            "chain": [list(h) for h in search.chain],
-            "rows": rows,
-            "params": list(final.params),
-        }
-    return {
-        "kind": "component_obstruction",
-        "component": desc["component"],
-        "inner": inner,
-    }
+def _in_component(component, inner: dict) -> dict:
+    """A wreath certificate names its component; a BS one (None) stands alone."""
+    if component is None:
+        return inner
+    return {"kind": "component_obstruction", "component": component, "inner": inner}
 
 
-def _refute_residuals(kind, k, part: Part, params, budget) -> dict:
-    """Dead residual system: try a compact modular refutation before falling
-    back to the exact-solver emptiness record."""
-    rendered = [s.render("k" if kind == "bs" else "t") + " = 0" for s in part.residuals]
-    if kind == "bs":
-        search = _BsSearch([], part.residuals, params, k, budget)
-        for _ in range(budget.attempt_levels):
-            if search.step() == "refuted":
-                return {
-                    "kind": "modulus_obstruction",
-                    "stage": "residual",
-                    "base": k,
-                    "chain": list(search.chain),
-                    "rows": rendered,
-                    "params": list(params),
-                }
-            if search.state != "running":
-                break
-        return {
-            "kind": "empty_disjunction",
-            "stage": "residual",
-            "rows": rendered,
-            "params": list(params),
-        }
-    searches = _part_searches(kind, k, Part(part.component, part.mod, [], part.residuals), params, budget)
-    for _ in range(budget.attempt_levels):
-        progressed = False
-        for desc, search in searches:
-            if search.state != "running":
-                continue
-            r = search.step()
-            progressed = True
-            if r == "refuted":
-                if isinstance(search, _ZPartSearch):
-                    ring, chain, proj = search.ring, search.chain, 0
-                else:
-                    ring, chain, proj = desc["ring"], search.chain, None
-                return {
-                    "kind": "component_obstruction",
-                    "component": part.component,
-                    "inner": {
-                        "kind": "modulus_obstruction",
-                        "stage": "residual",
-                        "ring": ring,
-                        "projected_from": proj,
-                        "chain": [list(h) for h in chain],
-                        "rows": rendered,
-                        "params": list(params),
-                    },
-                }
-        if not progressed:
+def _obstruction(search, stage, rows, params) -> dict:
+    """The modulus obstruction certificate of a refuted search."""
+    where = (
+        {"base": search.base}
+        if search.base is not None
+        else {"ring": search.ring, "projected_from": search.projected_from}
+    )
+    inner = {"kind": "modulus_obstruction", "stage": stage, **where}
+    inner.update(chain=list(search.chain), rows=rows, params=list(params))
+    return _in_component(search.component, inner)
+
+
+def _refute_residuals(kind, k, parts, params, budget) -> dict:
+    """Certificate for a dead residual system: a modulus obstruction found
+    within ``ATTEMPT_LEVELS`` rounds, else the exact solver's emptiness record."""
+    searches = _BranchSearches(kind, k, parts, params, budget, "residual")
+    for _ in range(ATTEMPT_LEVELS):
+        if searches.step() != "running":
             break
-    return {
-        "kind": "component_obstruction",
-        "component": part.component,
-        "inner": {
-            "kind": "empty_disjunction",
-            "stage": "residual",
-            "rows": rendered,
-            "params": list(params),
-        },
+    if searches.cert is not None:
+        return searches.cert
+    fallback = {
+        "kind": "empty_disjunction",
+        "stage": "residual",
+        "rows": searches.rows,
+        "params": list(params),
     }
+    return _in_component(None if kind == "bs" else parts[0].component, fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -1124,30 +1081,37 @@ def _wrap_cert(cert: dict, system, budget: Budget) -> dict:
     return out
 
 
-def _decide_abelian_bs(system, budget: Budget) -> Verdict:
-    """BS(1,1) is free abelian of rank 2; everything is one linear solve."""
+def _linear_infeasible(stage, forms, evars, sol) -> dict:
+    return {
+        "kind": "linear_infeasible",
+        "stage": stage,
+        "rows": [[f.coef(v) for v in evars] for f in forms],
+        "rhs": [-f.const for f in forms],
+        "witness_row": list(sol.cert_row),
+    }
+
+
+def _abelian_forms(system):
+    """BS(1,1) is free abelian of rank 2: the reduced rows become linear forms.
+
+    Returns the forms and their variables, unknowns' a-parts first.
+    """
     red = reduce_bs(system)
-    uvars = list(red.zvars)
     forms = list(red.linear)
     for row in red.rows:
         f = AffineForm.constant(sum(c for _, c in row.const.terms))
         for v, s in row.coeffs.items():
             f = f + AffineForm.var(v, sum(c for _, c in s.terms))
         forms.append(f)
-    allvars = uvars + list(red.rvars)
+    return forms, list(red.zvars) + list(red.rvars)
+
+
+def _decide_abelian_bs(system, budget: Budget) -> Verdict:
+    """BS(1,1) is free abelian of rank 2; everything is one linear solve."""
+    forms, allvars = _abelian_forms(system)
     sol = solve_forms(forms, allvars)
     if sol.status == "empty":
-        cert = _wrap_cert(
-            {
-                "kind": "linear_infeasible",
-                "stage": "abelian",
-                "rows": [[f.coef(v) for v in allvars] for f in forms],
-                "rhs": [-f.const for f in forms],
-                "witness_row": list(sol.cert_row),
-            },
-            system,
-            budget,
-        )
+        cert = _wrap_cert(_linear_infeasible("abelian", forms, allvars, sol), system, budget)
         return Verdict("unsat", certificate=cert, stats={"stage": "abelian"})
     vals = dict(zip(allvars, sol.particular))
     witness = {
@@ -1186,8 +1150,17 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
         )
 
     def unsat_cert():
-        entries = [{"path": r.path, "cert": r.cert} for r in build.refuted]
-        entries += [{"path": m.final.path, "cert": m.cert} for m in managers]
+        # dead residual branches are certified only now, for this verdict
+        entries = [
+            {
+                "path": r.path,
+                "cert": r.cert
+                if r.cert is not None
+                else _refute_residuals(build.kind, build.k, r.parts, r.params, budget),
+            }
+            for r in build.refuted
+        ]
+        entries += [{"path": path, "cert": m.cert} for path, m in managers]
         entries.sort(key=lambda e: e["path"])
         if len(entries) == 1:
             inner = dict(entries[0]["cert"])
@@ -1197,7 +1170,10 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
             {"kind": "branch_refutation", "branches": entries}, system, budget
         )
 
-    managers = [_BranchSearches(build.kind, build.k, f, budget) for f in build.finals]
+    managers = [
+        (f.path, _BranchSearches(build.kind, build.k, f.parts, f.params, budget))
+        for f in build.finals
+    ]
 
     if not build.overflow and not build.finals:
         if build.refuted:
@@ -1224,7 +1200,7 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
         # the first round gives refinement a head start: cheap early levels
         # often refute outright, skipping ball enumeration entirely
         for _ in range(2 if first else 1):
-            for man in managers:
+            for _, man in managers:
                 if man.state == "running":
                     man.step()
                     stats["p2_levels"] += 1
@@ -1232,7 +1208,7 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
             if (
                 not build.overflow
                 and managers
-                and all(m.state == "refuted" for m in managers)
+                and all(m.state == "refuted" for _, m in managers)
             ):
                 return Verdict("unsat", certificate=unsat_cert(), stats=stats)
         if not p1.exhausted:
@@ -1248,7 +1224,7 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
 
     stats["frontier"] = [
         {
-            "path": m.final.path,
+            "path": path,
             "state": m.state,
             "levels": m.levels,
             "searches": [
@@ -1256,7 +1232,7 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
                 for desc, s in m.searches
             ],
         }
-        for m in managers
+        for path, m in managers
     ]
     return Verdict("unknown", stats=stats)
 
@@ -1292,121 +1268,69 @@ def _is_prime(n) -> bool:
     return all(n % p for p in range(2, int(math.isqrt(n)) + 1))
 
 
-def _replay_bs(pivots, residuals, params, chain, k, budget) -> bool:
-    search = _BsSearch(pivots, residuals, params, k, budget, chain=list(chain))
-    for _ in chain:
-        search.step()
-    return search.state == "refuted"
-
-
-def _replay_wreath(pivots, residuals, params, part_mod, inner, budget) -> bool:
-    ring = inner.get("ring")
+def _replay(kind, k, part: Part, params, inner, budget) -> bool:
+    """Whether the chain of a modulus obstruction empties the refinement of
+    ``part`` (as the search that found it saw the part) at its last level."""
     chain = inner.get("chain")
-    if inner.get("projected_from") == 0:
-        if part_mod is not None or not _is_prime(ring):
+    if kind == "bs":
+        if inner.get("base") != k or not _bs_chain_ok(chain, k):
             return False
-        rows, res = _project_rows(pivots, residuals, ring)
-    elif ring == part_mod:
-        rows, res = pivots, residuals
-    elif part_mod is not None and isinstance(ring, int) and ring >= 2 and part_mod % ring == 0:
-        rows, res = _project_rows(pivots, residuals, ring)
+        search = _BsSearch(part.pivots, part.residuals, params, k, budget, chain=chain)
     else:
-        return False
-    if not _monic_chain_ok(chain, ring):
-        return False
-    search = _WreathSearch(rows, res, params, ring, budget, chain=chain)
+        ring = inner.get("ring")
+        if inner.get("projected_from") == 0:
+            if part.mod is not None or not _is_prime(ring):
+                return False
+            rows, res = _project_rows(part.pivots, part.residuals, ring)
+        elif ring == part.mod:
+            rows, res = part.pivots, part.residuals
+        elif part.mod is not None and isinstance(ring, int) and ring >= 2 and part.mod % ring == 0:
+            rows, res = _project_rows(part.pivots, part.residuals, ring)
+        else:
+            return False
+        if not _monic_chain_ok(chain, ring):
+            return False
+        search = _WreathSearch(rows, res, params, ring, budget, chain=chain)
     for _ in chain:
         search.step()
     return search.state == "refuted"
 
 
-def _check_refuted_cert(build: Build, r: Refuted, cert: dict, budget) -> bool:
-    comp = None
-    inner = cert
-    if cert.get("kind") == "component_obstruction":
-        if build.kind != "wreath":
+def _check_obstruction(build: Build, parts, params, stage, cert: dict, budget) -> bool:
+    """Check the certificate of one branch whose ``parts`` the obstruction
+    searches saw at ``stage``: "pivots" for a final branch, "residual" for a
+    dead residual system (which may also be certified by its emptiness)."""
+    comp, inner = None, cert
+    if build.kind == "wreath":
+        if cert.get("kind") != "component_obstruction":
             return False
-        comp = cert.get("component")
-        inner = cert.get("inner")
+        comp, inner = cert.get("component"), cert.get("inner")
         if not isinstance(inner, dict):
             return False
-    kind, stage = inner.get("kind"), inner.get("stage")
-    base = "k" if build.kind == "bs" else "t"
-
-    if kind == "empty_disjunction":
-        if stage == "side-assumption":
-            return comp is None and r.cert.get("stage") == "side-assumption"
-        if stage == "joint-residual":
-            # recomputed verbatim by the deterministic rebuild
-            return comp is None and r.cert.get("stage") == "joint-residual" and inner == r.cert
-        if stage != "residual":
-            return False
-    elif kind != "modulus_obstruction" or stage != "residual":
+    part = next((p for p in parts if build.kind == "bs" or p.component == comp), None)
+    if part is None or inner.get("stage") != stage:
         return False
-
-    parts = [p for p in r.parts if p.residuals]
-    if len(parts) != 1:
+    if inner.get("rows") != _cert_rows(parts, build.kind, stage):
         return False
-    part = parts[0]
-    if build.kind == "wreath" and comp != part.component:
+    if list(inner.get("params", ())) != list(params):
         return False
-    if build.kind == "bs" and comp is not None:
+    if inner.get("kind") == "empty_disjunction" and stage == "residual":
+        return not _residual_solutions(build.kind, build.k, part)
+    if inner.get("kind") != "modulus_obstruction":
         return False
-    rendered = [s.render(base) + " = 0" for s in part.residuals]
-    if inner.get("rows") != rendered or list(inner.get("params", ())) != list(r.params):
-        return False
-
-    if kind == "empty_disjunction":
-        eqs = [_residual_terms(s) for s in part.residuals]
-        if build.kind == "bs":
-            dis = semenov_solve(SemenovSystem.make([(t, 0) for t in eqs], build.k))
-        else:
-            dis = grouping_solve(eqs, part.mod)
-        return not dis
-    if build.kind == "bs":
-        if inner.get("base") != build.k or not _bs_chain_ok(inner.get("chain"), build.k):
-            return False
-        return _replay_bs([], part.residuals, r.params, inner["chain"], build.k, budget)
-    return _replay_wreath([], part.residuals, r.params, part.mod, inner, budget)
-
-
-def _check_final_cert(build: Build, f: FinalBranch, cert: dict, budget) -> bool:
-    comp = None
-    inner = cert
-    if cert.get("kind") == "component_obstruction":
-        if build.kind != "wreath":
-            return False
-        comp = cert.get("component")
-        inner = cert.get("inner")
-        if not isinstance(inner, dict):
-            return False
-    elif cert.get("kind") != "modulus_obstruction" or build.kind != "bs":
-        return False
-    if inner.get("kind") != "modulus_obstruction" or inner.get("stage") != "pivots":
-        return False
-    if inner.get("rows") != _render_rows(f.parts, build.kind):
-        return False
-    if list(inner.get("params", ())) != list(f.params):
-        return False
-    if build.kind == "bs":
-        if inner.get("base") != build.k or not _bs_chain_ok(inner.get("chain"), build.k):
-            return False
-        pivots = [pv for p in f.parts for pv in p.pivots]
-        residuals = [s for p in f.parts for s in p.residuals]
-        return _replay_bs(pivots, residuals, f.params, inner["chain"], build.k, budget)
-    part = next((p for p in f.parts if p.component == comp), None)
-    if part is None:
-        return False
-    return _replay_wreath(part.pivots, part.residuals, f.params, part.mod, inner, budget)
+    return _replay(build.kind, build.k, part, params, inner, budget)
 
 
 def _check_branch_cert(build: Build, path: str, cert: dict, budget) -> bool:
     for r in build.refuted:
         if r.path == path:
-            return _check_refuted_cert(build, r, cert, budget)
+            if r.cert is not None:
+                # recorded by the build, so recomputed verbatim by the rebuild
+                return cert == r.cert
+            return _check_obstruction(build, r.parts, r.params, "residual", cert, budget)
     for f in build.finals:
         if f.path == path:
-            return _check_final_cert(build, f, cert, budget)
+            return _check_obstruction(build, f.parts, f.params, "pivots", cert, budget)
     return False
 
 
@@ -1424,41 +1348,21 @@ def verify_certificate(cert: dict, system: EquationSystem) -> bool:
             return False
         # replay caps are fixed and generous; certificates are only issued
         # when coverage was complete, so the rebuild below is reproducible
-        budget = Budget(branch_cap=4096, attempt_levels=0)
+        budget = Budget(branch_cap=4096)
         kind = cert.get("kind")
         spec = system.spec
+        got = {kk: vv for kk, vv in cert.items() if kk not in ("version", "system_hash")}
 
         if spec.kind == "bs" and spec.k == 1:
-            if kind != "linear_infeasible" or cert.get("stage") != "abelian":
-                return False
-            red = reduce_bs(system)
-            forms = list(red.linear)
-            for row in red.rows:
-                f = AffineForm.constant(sum(c for _, c in row.const.terms))
-                for v, s in row.coeffs.items():
-                    f = f + AffineForm.var(v, sum(c for _, c in s.terms))
-                forms.append(f)
-            allvars = list(red.zvars) + list(red.rvars)
+            forms, allvars = _abelian_forms(system)
             sol = solve_forms(forms, allvars)
             if sol.status != "empty":
                 return False
-            want_rows = [[f.coef(v) for v in allvars] for f in forms]
-            want_rhs = [-f.const for f in forms]
-            return (
-                cert.get("rows") == want_rows
-                and cert.get("rhs") == want_rhs
-                and list(cert.get("witness_row", ())) == list(sol.cert_row)
-            )
+            return got == _linear_infeasible("abelian", forms, allvars, sol)
 
         if kind == "linear_infeasible":
             build = _build(system, budget)
-            if build.linear_cert is None:
-                return False
-            want = dict(build.linear_cert)
-            got = {
-                kk: vv for kk, vv in cert.items() if kk not in ("version", "system_hash")
-            }
-            return got == want
+            return build.linear_cert is not None and got == build.linear_cert
 
         build = _build(system, budget)
         if build.linear_cert is not None or build.overflow:

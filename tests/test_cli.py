@@ -108,6 +108,12 @@ def test_debug_stages_emit_to_stderr():
     assert "reduce" in r.stderr or "row" in r.stderr or r.stderr
 
 
+def test_debug_exp_lists_dead_residual_branch():
+    r = run(["--debug-stage", "exp", "-"], stdin=UNSAT)
+    assert r.returncode == 1
+    assert "refuted branch /t-: dead residuals" in r.stderr
+
+
 def test_reports_reproducible_modulo_timing():
     outs = []
     for _ in range(2):

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from groupeq.decide import decide, verify_certificate
+from groupeq.decide import Budget, build_report, decide, verify_certificate
 from groupeq.frontend import parse_system
 from groupeq.groups import verify_witness
 
@@ -17,11 +17,16 @@ def load_manifest():
 
 INSTANCES = load_manifest()
 
+# verdict, witness and certificate of each instance (tests/corpus/make_expected.py)
+with open(CORPUS / "expected.json") as fh:
+    EXPECTED = json.load(fh)
+
 
 def test_manifest_hygiene():
     assert len(INSTANCES) >= 30
     names = [e["name"] for e in INSTANCES]
     assert len(names) == len(set(names))
+    assert set(EXPECTED) == set(names)
     for e in INSTANCES:
         assert (CORPUS / e["file"]).is_file(), e["file"]
         assert e["expected"] in ("sat", "unsat")
@@ -40,3 +45,7 @@ def test_instance_decides_as_expected(entry):
         assert verify_witness(system, v.witness)
     else:
         assert verify_certificate(v.certificate, system)
+    # compared as text, so that key order counts as it does in a report
+    report = build_report(system, v, Budget(), 0.0)
+    want = EXPECTED[entry["name"]]
+    assert json.dumps({key: report[key] for key in want}) == json.dumps(want)

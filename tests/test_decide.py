@@ -74,15 +74,58 @@ def test_unsat_anchor_certificates():
         ("group wreath Z^1\nX^3 = a^2", "component_obstruction", {"path": "/t."}),
         ("group wreath Z^0 x Z_3\nX^2 = a\nX^3 = a", "component_obstruction", {"path": "/t."}),
         ("group BS 2\nX^2 = b a b a^-1", "branch_refutation", {}),
+        # torsion-ring pivots; a branch refutation's fields are keyed by path
+        ("group wreath Z^0 x Z_3\na^2 Y^-2 X^2 = Y^-1 Y^2 X^-1\n"
+         "t^-1 X^2 t^-1 a^3 = a^2 t^2", "branch_refutation",
+         {"/tn.n.": {"kind": "component_obstruction", "component": 0, "inner": {
+             "kind": "modulus_obstruction", "stage": "pivots", "ring": 3,
+             "projected_from": None, "chain": [[1, 1]],
+             "rows": ["[0] pivot X: (1*t^(-p0_0-1)+1*t^(-p0_0+1))*X + 1 = 0",
+                      "[0] pivot Y: (2*t^(-p0_0-p0_1-5)+1*t^(-p0_0-p0_1-3)"
+                      "+1*t^(-p0_0-p0_1-1)+2*t^(-p0_0-p0_1+1))*Y + 2*t^(-p0_0-4)"
+                      "+2*t^(-p0_0-2)+2*t^(-p0_0-1)+2*t^(-p0_0)+2*t^(-p0_0+1) = 0"],
+             "params": ["p0_0", "p0_1"]}}}),
+        # a residual refuted through the prime projection Z -> Z_2
+        ("group wreath Z^1\na^2 a^-2 a^-1 t^2 = t^2", "component_obstruction",
+         {"path": "/t-", "component": 0, "inner": {
+             "kind": "modulus_obstruction", "stage": "residual", "ring": 2,
+             "projected_from": 0, "chain": [[1, 1]], "rows": ["-1 = 0"],
+             "params": []}}),
     ]
     for text, kind, fields in expect:
         system, v = _run(text)
         assert v.status == "unsat", text
         cert = v.certificate
         assert cert["kind"] == kind, text
+        got = cert
+        if kind == "branch_refutation":
+            got = {e["path"]: e["cert"] for e in cert["branches"]}
         for key, val in fields.items():
-            assert cert[key] == val, (text, key)
+            assert got[key] == val, (text, key)
         assert verify_certificate(cert, system), text
+
+
+def _residual_fallback(cert):
+    """The certificate with its residual-stage modulus obstruction replaced by
+    the exact solver's emptiness record, as issued when refinement finds none."""
+    out = copy.deepcopy(cert)
+    inner = out["inner"] if out["kind"] == "component_obstruction" else out
+    assert inner["kind"] == "modulus_obstruction" and inner["stage"] == "residual"
+    for key in ("base", "ring", "projected_from", "chain"):
+        inner.pop(key, None)
+    inner["kind"] = "empty_disjunction"
+    return out, inner
+
+
+def test_residual_emptiness_fallback_verifies():
+    for text in ("group BS 2\nX^-1 a X = a^3",
+                 "group wreath Z^0 x Z_2\nX^2 = t a t^-1 a",
+                 "group wreath Z^1\na^2 a^-2 a^-1 t^2 = t^2"):
+        system, v = _run(text)
+        cert, inner = _residual_fallback(v.certificate)
+        assert verify_certificate(cert, system), text
+        inner["rows"].append(inner["rows"][0])
+        assert not verify_certificate(cert, system), text
 
 
 def test_two_branch_refutation_shape():
@@ -178,8 +221,7 @@ def test_tampered_certificates_fail():
 def test_interleaving_both_searches_progress():
     """With refinement capped out, enumeration still gets a step every round."""
     system = parse_system("group wreath Z^1\nX^3 = a^2")
-    v = decide(system, Budget(attempt_levels=0, max_prime_power=2,
-                              max_monic_degree=1, steps=4))
+    v = decide(system, Budget(max_prime_power=2, max_monic_degree=1, steps=4))
     assert v.status == "unknown"
     assert v.stats["rounds"] == 4
     assert v.stats["p1_steps"] == 4
@@ -191,7 +233,7 @@ def test_interleaving_both_searches_progress():
 
 def test_interleaving_refinement_keeps_stepping():
     system = parse_system("group wreath Z^1\nX^3 = a^2")
-    v = decide(system, Budget(attempt_levels=0, max_prime_power=2, steps=4))
+    v = decide(system, Budget(max_prime_power=2, steps=4))
     assert v.status == "unknown"
     # two warmup levels in round one, then one per round
     assert v.stats["p2_levels"] == 2 + (v.stats["rounds"] - 1)
@@ -200,7 +242,7 @@ def test_interleaving_refinement_keeps_stepping():
 
 def test_scheduler_refutes_in_first_round():
     system = parse_system("group wreath Z^1\nX^3 = a^2")
-    v = decide(system, Budget(attempt_levels=0))
+    v = decide(system, Budget())
     assert v.status == "unsat"
     assert v.stats["rounds"] == 1
     assert v.stats["refuted_at_build"] == 0
@@ -230,6 +272,21 @@ def test_zero_lift_of_binomial_pivot():
     assert v.status == "sat"
     assert _rendered(system, v.witness) == {"X": "{} | 0", "Y": "{} | 0", "Z": "{} | 0"}
     assert v.stats["p2_levels"] == 0
+
+
+def test_sat_verdict_certifies_no_dead_residual(monkeypatch):
+    """Dead residual branches are certified only for an unsat verdict."""
+    decide_mod = importlib.import_module("groupeq.decide")
+    system = parse_system("group wreath Z^0 x Z_3\nY t Z X^-1 = X^-1 Z t Y")
+
+    def refute(*args):
+        raise AssertionError("dead residual certified for a sat verdict")
+
+    monkeypatch.setattr(decide_mod, "_refute_residuals", refute)
+    v = decide(system)
+    assert v.status == "sat"
+    assert _rendered(system, v.witness) == {"X": "{} | 0", "Y": "{} | 0", "Z": "{} | 0"}
+    assert sum(r.cert is None for r in _build(system, Budget()).refuted) == 3
 
 
 def test_failing_lift_does_not_change_first_round_refutation(monkeypatch):
@@ -317,7 +374,7 @@ def test_reports_identical_modulo_timing():
 
 def test_budget_exhaustion_is_graceful():
     system = parse_system("group wreath Z^1\nX^3 = a^2")
-    v = decide(system, Budget(steps=1, attempt_levels=0, max_prime_power=2,
+    v = decide(system, Budget(steps=1, max_prime_power=2,
                               max_monic_degree=1, candidates_per_step=5, radius=1))
     assert v.status == "unknown"
     assert v.witness is None and v.certificate is None
@@ -326,7 +383,7 @@ def test_budget_exhaustion_is_graceful():
 
 def test_unknown_then_bigger_budget_decides():
     system = parse_system("group wreath Z^1\nX^3 = a^2")
-    small = decide(system, Budget(steps=1, attempt_levels=0, max_prime_power=2,
+    small = decide(system, Budget(steps=1, max_prime_power=2,
                                   max_monic_degree=1, candidates_per_step=5))
     assert small.status == "unknown"
     full = decide(system)
