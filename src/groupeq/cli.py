@@ -133,7 +133,7 @@ def _debug_tri(system, out):
 def _debug_exp(system, out):
     from .decide import _build
 
-    build = _build(system, Budget(), None)
+    build = _build(system)
     print("# stage exp (branch construction)", file=out)
     if build.linear_cert is not None:
         print("  shared linear stage infeasible", file=out)

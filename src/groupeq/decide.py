@@ -8,9 +8,16 @@ triangular branches, and every branch is attacked from two sides at once:
 * an obstruction search refines joint residue constraints over a growing
   chain of moduli, and an empty refinement level refutes the whole branch.
 
+Both refinements, over BS(1,k) and over A wr Z, run the level loop of
+``_Refinement``; each ring supplies only its arithmetic, and the chain of
+moduli is handed in, so a certificate replays through the same loop.
+
 Every Unsat verdict ships a certificate that can be replayed independently
-of the search that found it.  Budgets make each run terminate; running out
-of budget yields Unknown, never a wrong answer.
+of the search that found it.  A ``Budget`` (``steps``, ``max_prime_power``,
+``max_monic_degree``, ``radius``, ``time_limit``, ``candidates_per_step``)
+and two fixed caps (``BRANCH_CAP`` case-split branches, ``NODE_CAP``
+refinement nodes per level) make each run terminate; running out of budget
+yields Unknown, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -68,15 +75,29 @@ CERT_VERSION = 1
 # refinement rounds tried on a dead residual system before its certificate
 # falls back to the exact solver's emptiness record
 ATTEMPT_LEVELS = 10
+# case-split branches a build keeps before it marks its coverage incomplete
+BRANCH_CAP = 400
+# the rebuild that replays a certificate keeps up to this many branches
+REBUILD_BRANCH_CAP = 4096
+# refinement nodes kept per level; a level also stops after WORK_CAP
+# parameter extensions and residue picks
+NODE_CAP = 4000
+WORK_CAP = 200 * NODE_CAP
 
 
 @dataclass
 class Budget:
     """Resource limits; every field bounds one axis of the search.
 
-    The refinement that certifies a dead residual branch runs only when
-    ``decide`` returns unsat, for at most ``ATTEMPT_LEVELS`` rounds, within
-    ``max_prime_power``, ``max_monic_degree`` and ``node_cap``.
+    Six fields: ``steps``, ``max_prime_power``, ``max_monic_degree``,
+    ``radius``, ``time_limit`` and ``candidates_per_step``.  Two caps are
+    constants rather than fields: a build keeps at most ``BRANCH_CAP``
+    case-split branches, and a refinement level at most ``NODE_CAP`` nodes
+    (and ``WORK_CAP`` units of work); certificate replay uses the same node
+    cap, so a chain replays as the search saw it.  The refinement that
+    certifies a dead residual branch runs only when ``decide`` returns unsat,
+    for at most ``ATTEMPT_LEVELS`` rounds, within ``max_prime_power`` and
+    ``max_monic_degree``.
     """
 
     steps: int = 48                  # scheduler rounds per procedure
@@ -84,8 +105,6 @@ class Budget:
     max_monic_degree: int = 3        # largest polynomial modulus degree
     radius: int = 6                  # witness enumeration ball bound
     time_limit: float | None = None
-    branch_cap: int = 400            # case-split branches before giving up
-    node_cap: int = 4000             # refinement nodes kept per level
     candidates_per_step: int = 4000
 
 
@@ -180,14 +199,15 @@ def _residual_solutions(kind, k, part: Part) -> list:
     return grouping_solve(eqs, part.mod)
 
 
-def _build(system: EquationSystem, budget: Budget, deadline=None) -> Build:
+def _build(system: EquationSystem, deadline=None, branch_cap=BRANCH_CAP) -> Build:
     """Case analysis over the reduced system.
 
     Returns the surviving triangular branches plus the ones refuted on the
     way.  A branch whose residual system has no solution is recorded with
     only its residual rows; ``_refute_residuals`` certifies it when an unsat
-    verdict needs that.  Deterministic: replaying with the same caps
-    reproduces branches and recorded certificates verbatim.
+    verdict needs that.  Deterministic: a rebuild with a cap at least as
+    large reproduces the branches and recorded certificates of a build that
+    did not overflow verbatim.
     """
     spec = system.spec
     if spec.kind == "bs":
@@ -225,7 +245,7 @@ def _build(system: EquationSystem, budget: Budget, deadline=None) -> Build:
         if deadline is not None and time.monotonic() > deadline:
             overflow = True
             break
-        if len(finals) + len(refuted) >= budget.branch_cap:
+        if len(finals) + len(refuted) >= branch_cap:
             overflow = True
             break
         st = queue.popleft()
@@ -236,7 +256,7 @@ def _build(system: EquationSystem, budget: Budget, deadline=None) -> Build:
             continue
         try:
             tri_lists = [
-                triangularize(rows, mod, budget.branch_cap)
+                triangularize(rows, mod, branch_cap)
                 for (_, mod), rows in zip(comp_info, st.comp_rows)
             ]
         except BranchOverflow:
@@ -248,7 +268,7 @@ def _build(system: EquationSystem, budget: Budget, deadline=None) -> Build:
                 Part(c, mod, list(tb.pivots), list(tb.residuals))
                 for (c, mod), tb in zip(comp_info, combo)
             ]
-            if len(finals) + len(refuted) >= budget.branch_cap:
+            if len(finals) + len(refuted) >= branch_cap:
                 overflow = True
                 break
 
@@ -321,263 +341,191 @@ def _build(system: EquationSystem, budget: Budget, deadline=None) -> Build:
 # Obstruction searches (joint residue refinement)
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
+def _saturated(search) -> str:
+    search.state = "saturated"
+    return search.state
 
 
-def _prime_of(q: int) -> int:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            return p
-    return q
+class _Refinement:
+    """Joint residue refinement of pivot rows over a chain of moduli.
 
+    A node pins every exponent parameter mod ``var_mod`` (the lcm of the
+    periods of the processed moduli) and every unknown's residue modulo the
+    processed moduli.  A level takes the next modulus m from ``schedule``;
+    a node's parameter extension survives when its residual rows vanish mod
+    m and some extension of the unknowns' residues makes every pivot row
+    vanish mod m.  An empty level is a refutation and the processed chain is
+    the certificate.  A level that keeps more than ``NODE_CAP`` nodes or
+    does more than ``WORK_CAP`` units of work saturates the search.
 
-class _BsSearch:
-    """Refinement over prime power moduli q coprime to k.
-
-    A node pins every exponent parameter mod M (the lcm of the k-orders of
-    the processed moduli) together with, per unknown and per prime seen, the
-    unknown's residue mod the highest processed power.  A node survives a
-    level when some extension satisfies every row mod q; an empty level is a
-    refutation and the processed chain is the certificate.
+    A ring adapter sets ``zero``, the residue of an unknown before the first
+    level, and supplies ``_level(m)``, which returns the period of the
+    parameters mod m, an evaluator of an ``ExpSum`` at a parameter point,
+    the extensions of one unknown's residue as (residue, value mod m) pairs,
+    and a test whether a row (terms, constant) vanishes at a pick of
+    extensions.  ``_level`` may advance the adapter's residue modulus at
+    once: a level either completes or ends the search.
     """
 
-    component = None
-
-    def __init__(self, rows, residuals, params, k, budget, chain=None):
+    def __init__(self, rows, residuals, params, schedule):
         self.rows = [row for _, row in rows]
-        self.unknowns = sorted({u for row in self.rows for u in row.coeffs})
         self.residuals = list(residuals)
+        self.unknowns = sorted({u for row in self.rows for u in row.coeffs})
         self.params = list(params)
-        self.base = k
-        self.budget = budget
-        if chain is None:
-            self.schedule = prime_powers_coprime(k)
-            self.limit = budget.max_prime_power
-        else:
-            self.schedule = iter(chain)
-            self.limit = None
+        self.schedule = schedule
         self.var_mod = 1
-        self.frontier = [((0,) * len(self.params), tuple(() for _ in self.unknowns))]
+        self.frontier = [((0,) * len(self.params), (self.zero,) * len(self.unknowns))]
         self.chain: list = []
         self.state = "running"
-
-    def _sum_mod(self, s: ExpSum, env: dict, period: int, q: int) -> int:
-        total = 0
-        for f, c in s.terms:
-            total += c * pow(self.base, f.evaluate(env) % period, q)
-        return total % q
 
     def step(self) -> str:
         if self.state != "running":
             return self.state
-        q = next(self.schedule, None)
-        if q is None or (self.limit is not None and q > self.limit):
+        m = next(self.schedule, None)
+        if m is None:
             self.state = "exhausted"
             return self.state
-        p = _prime_of(q)
-        period = mult_order(self.base, q)
-        m2 = _lcm(self.var_mod, period)
-        ext = m2 // self.var_mod
-        work_cap = self.budget.node_cap * 200
+        period, evaluate, extend, vanishes = self._level(m)
+        m2 = math.lcm(self.var_mod, period)
+        shifts = range(0, m2, self.var_mod)
+        index = {u: i for i, u in enumerate(self.unknowns)}
         work = 0
         new: dict = {}
-        for vals, utab in self.frontier:
-            for combo in itertools.product(range(ext), repeat=len(self.params)):
+        for vals, residues in self.frontier:
+            extensions = [extend(r) for r in residues]
+            for shift in itertools.product(shifts, repeat=len(self.params)):
                 work += 1
-                if work > work_cap:
-                    self.state = "saturated"
-                    return self.state
-                vals2 = tuple(
-                    (v + self.var_mod * t) % m2 for v, t in zip(vals, combo)
-                )
+                if work > WORK_CAP:
+                    return _saturated(self)
+                vals2 = tuple(map(operator.add, vals, shift))
                 env = dict(zip(self.params, vals2))
-                if any(self._sum_mod(s, env, period, q) for s in self.residuals):
+                if not all(vanishes((), evaluate(s, env), ()) for s in self.residuals):
                     continue
-                coefs = [
-                    (
-                        {u: self._sum_mod(s, env, period, q) for u, s in row.coeffs.items()},
-                        self._sum_mod(row.const, env, period, q),
-                    )
-                    for row in self.rows
-                ]
-                cands = []
-                for ui, _ in enumerate(self.unknowns):
-                    prev = dict((pp, (r0, q0)) for pp, r0, q0 in utab[ui])
-                    if p in prev:
-                        r0, q0 = prev[p]
-                        cands.append([(r0 + q0 * j) % q for j in range(q // q0)])
-                    else:
-                        cands.append(list(range(q)))
-                for zc in itertools.product(*cands):
+                rows = []
+                for row in self.rows:
+                    terms = [(index[u], evaluate(s, env)) for u, s in row.coeffs.items()]
+                    rows.append(([t for t in terms if t[1]], evaluate(row.const, env)))
+                for pick in itertools.product(*extensions):
                     work += 1
-                    if work > work_cap:
-                        self.state = "saturated"
-                        return self.state
-                    zenv = dict(zip(self.unknowns, zc))
-                    if all(
-                        (sum(cv * zenv[u] for u, cv in cfs.items()) + cst) % q == 0
-                        for cfs, cst in coefs
-                    ):
-                        utab2 = []
-                        for ui in range(len(self.unknowns)):
-                            table = {pp: (r0, q0) for pp, r0, q0 in utab[ui]}
-                            table[p] = (zc[ui], q)
-                            utab2.append(
-                                tuple((pp, rr, qq) for pp, (rr, qq) in sorted(table.items()))
-                            )
-                        new[(vals2, tuple(utab2))] = True
-                        if len(new) > self.budget.node_cap:
-                            self.state = "saturated"
-                            return self.state
-        self.chain.append(q)
+                    if work > WORK_CAP:
+                        return _saturated(self)
+                    if all(vanishes(terms, const, pick) for terms, const in rows):
+                        new[(vals2, tuple(r for r, _ in pick))] = True
+                        if len(new) > NODE_CAP:
+                            return _saturated(self)
+        self.chain.append(m)
         self.var_mod = m2
-        if not new:
-            self.state = "refuted"
-        else:
+        if new:
             self.frontier = sorted(new)
+        else:
+            self.state = "refuted"
         return self.state
 
 
-class _WreathSearch:
-    """Refinement over monic polynomial moduli with unit constant term.
+class _BsSearch(_Refinement):
+    """Refinement over integer moduli q coprime to k, usually prime powers.
 
-    Works in Z_ring[t]/(h) for a chain of monics h; exponent parameters are
-    pinned mod the lcm of the t-orders, and every polynomial unknown carries
-    its residue mod the product of the processed moduli, extended level by
-    level (base-H digit expansion, so non-coprime moduli are fine).
+    An unknown's residue is kept mod ``unknown_mod``, the lcm of the
+    processed moduli: by CRT, its residue mod the highest processed power of
+    every prime.
+    """
+
+    component = None
+    zero = 0
+
+    def __init__(self, rows, residuals, params, k, schedule):
+        super().__init__(rows, residuals, params, schedule)
+        self.base = k
+        self.unknown_mod = 1
+
+    def _level(self, q):
+        k = self.base
+        period = mult_order(k, q)
+        old = self.unknown_mod
+        mod = self.unknown_mod = math.lcm(old, q)
+
+        def evaluate(s: ExpSum, env) -> int:
+            return sum(c * pow(k, f.evaluate(env) % period, q) for f, c in s.terms) % q
+
+        def extend(r):
+            return [(r2, r2 % q) for r2 in range(r, mod, old)]
+
+        def vanishes(terms, const, pick) -> bool:
+            return (sum(c * pick[i][1] for i, c in terms) + const) % q == 0
+
+        return period, evaluate, extend, vanishes
+
+
+class _WreathSearch(_Refinement):
+    """Refinement over monic polynomial moduli h with unit constant term.
+
+    Works in Z_ring[t]/(h); every polynomial unknown carries its residue mod
+    ``hprod``, the product of the processed moduli, extended level by level
+    (base-H digit expansion, so non-coprime moduli are fine).
     """
 
     base = None
     projected_from = None
+    zero = ()
 
-    def __init__(self, rows, residuals, params, ring, budget, chain=None, component=None):
-        self.rows = [row for _, row in rows] + [Row({}, s) for s in residuals]
-        self.unknowns = sorted({u for row in self.rows for u in row.coeffs})
-        self.params = list(params)
+    def __init__(self, rows, residuals, params, ring, schedule, component=None):
+        super().__init__(rows, residuals, params, schedule)
         self.ring = ring
         self.component = component
-        self.budget = budget
-        if chain is None:
-            self.schedule = self._monics()
-        else:
-            self.schedule = iter(tuple(h) for h in chain)
-        self.var_mod = 1
         self.hprod: tuple = (1,)
-        self.frontier = [((0,) * len(self.params), tuple(() for _ in self.unknowns))]
-        self.chain: list = []
-        self.state = "running"
 
-    def _monics(self):
-        for d in range(1, self.budget.max_monic_degree + 1):
-            for h in monic_enum(self.ring, d):
-                if math.gcd(h[0] % self.ring, self.ring) == 1:
-                    yield h
-
-    def _sum_poly(self, s: ExpSum, env, period, h, tcache):
-        acc: tuple = ()
-        for f, c in s.terms:
-            e = f.evaluate(env) % period
-            if e not in tcache:
-                tcache[e] = poly_pow_t(e, h, self.ring)
-            acc = poly_add(acc, poly_scale(tcache[e], c, self.ring), self.ring)
-        return acc
-
-    def step(self) -> str:
-        if self.state != "running":
-            return self.state
-        h = next(self.schedule, None)
-        if h is None:
-            self.state = "exhausted"
-            return self.state
+    def _level(self, m):
         n = self.ring
+        h = tuple(m)
         period = t_period(h, n)
-        m2 = _lcm(self.var_mod, period)
-        ext = m2 // self.var_mod
-        d = len(h) - 1
-        lifts = list(itertools.product(range(n), repeat=d))
-        work_cap = self.budget.node_cap * 200
-        work = 0
-        new: dict = {}
-        for vals, utab in self.frontier:
-            for combo in itertools.product(range(ext), repeat=len(self.params)):
-                work += 1
-                if work > work_cap:
-                    self.state = "saturated"
-                    return self.state
-                vals2 = tuple(
-                    (v + self.var_mod * t) % m2 for v, t in zip(vals, combo)
-                )
-                env = dict(zip(self.params, vals2))
-                tcache: dict = {}
-                coefs = [
-                    (
-                        {
-                            u: self._sum_poly(s, env, period, h, tcache)
-                            for u, s in row.coeffs.items()
-                        },
-                        self._sum_poly(row.const, env, period, h, tcache),
-                    )
-                    for row in self.rows
-                ]
-                cand_res = []
-                for ui in range(len(self.unknowns)):
-                    opts = []
-                    for v in lifts:
-                        rnew = poly_add(
-                            utab[ui], poly_mul(self.hprod, v, n), n
-                        )
-                        opts.append((rnew, poly_reduce(rnew, h, n)))
-                    cand_res.append(opts)
-                for pickz in itertools.product(*cand_res):
-                    work += 1
-                    if work > work_cap:
-                        self.state = "saturated"
-                        return self.state
-                    ok = True
-                    for cfs, cst in coefs:
-                        acc = cst
-                        for ui, u in enumerate(self.unknowns):
-                            cf = cfs.get(u)
-                            if cf:
-                                acc = poly_add(
-                                    acc,
-                                    poly_reduce(poly_mul(cf, pickz[ui][1], n), h, n),
-                                    n,
-                                )
-                        if poly_reduce(acc, h, n):
-                            ok = False
-                            break
-                    if ok:
-                        key = (vals2, tuple(pz[0] for pz in pickz))
-                        new[key] = True
-                        if len(new) > self.budget.node_cap:
-                            self.state = "saturated"
-                            return self.state
-        self.chain.append(list(h))
-        self.var_mod = m2
+        lifts = [
+            poly_mul(self.hprod, v, n)
+            for v in itertools.product(range(n), repeat=len(h) - 1)
+        ]
         self.hprod = poly_mul(self.hprod, h, n)
-        if not new:
-            self.state = "refuted"
-        else:
-            self.frontier = sorted(new)
-        return self.state
+        tpow: dict = {}
+
+        def evaluate(s: ExpSum, env) -> tuple:
+            acc: tuple = ()
+            for f, c in s.terms:
+                e = f.evaluate(env) % period
+                if e not in tpow:
+                    tpow[e] = poly_pow_t(e, h, n)
+                acc = poly_add(acc, poly_scale(tpow[e], c, n), n)
+            return acc
+
+        def extend(r):
+            out = []
+            for lift in lifts:
+                r2 = poly_add(r, lift, n)
+                out.append((r2, poly_reduce(r2, h, n)))
+            return out
+
+        def vanishes(terms, acc, pick) -> bool:
+            for i, cf in terms:
+                acc = poly_add(acc, poly_reduce(poly_mul(cf, pick[i][1], n), h, n), n)
+            return not poly_reduce(acc, h, n)
+
+        return period, evaluate, extend, vanishes
+
+
+def _monics(ring: int, max_degree: int):
+    """Monic moduli over Z_ring with unit constant term, degree by degree."""
+    for d in range(1, max_degree + 1):
+        for h in monic_enum(ring, d):
+            if math.gcd(h[0] % ring, ring) == 1:
+                yield list(h)
 
 
 def _project_rows(pivots, residuals, mod: int):
-    rows = []
-    for u, row in pivots:
-        rows.append(
-            (
-                u,
-                Row(
-                    {v: ExpSum.make(s.terms, mod) for v, s in row.coeffs.items()},
-                    ExpSum.make(row.const.terms, mod),
-                ).normalized(),
-            )
-        )
-    res = [ExpSum.make(s.terms, mod) for s in residuals]
-    return rows, [s for s in res if not s.is_zero()]
+    def project(s: ExpSum) -> ExpSum:
+        return ExpSum.make(s.terms, mod)
+
+    rows = [
+        (u, Row({v: project(s) for v, s in row.coeffs.items()}, project(row.const)).normalized())
+        for u, row in pivots
+    ]
+    return rows, [s for s in map(project, residuals) if not s.is_zero()]
 
 
 class _ZPartSearch:
@@ -595,21 +543,22 @@ class _ZPartSearch:
         self.pivots = pivots
         self.residuals = residuals
         self.params = params
-        self.budget = budget
+        self.max_monic_degree = budget.max_monic_degree
         self.component = component
         self.subs: list = []
         self.state = "running"
         self.ring = None
         self.chain: list = []
-        self.primegen = primes()
+        self.primegen = itertools.takewhile(lambda p: p <= budget.max_prime_power, primes())
 
     def step(self) -> str:
         if self.state != "running":
             return self.state
         p = next(self.primegen, None)
-        if p is not None and p <= self.budget.max_prime_power:
+        if p is not None:
             rows, res = _project_rows(self.pivots, self.residuals, p)
-            self.subs.append((p, _WreathSearch(rows, res, self.params, p, self.budget)))
+            schedule = _monics(p, self.max_monic_degree)
+            self.subs.append((p, _WreathSearch(rows, res, self.params, p, schedule)))
         live = False
         for ring, sub in self.subs:
             if sub.state != "running":
@@ -622,7 +571,7 @@ class _ZPartSearch:
                 return self.state
             if r == "running":
                 live = True
-        if not live and (p is None or p > self.budget.max_prime_power):
+        if not live and p is None:
             self.state = "exhausted"
         return self.state
 
@@ -630,30 +579,23 @@ class _ZPartSearch:
 def _part_searches(kind, k, part, params, budget):
     """All obstruction searches attached to one component of a branch."""
     if kind == "bs":
-        return [
-            ({"base": k}, _BsSearch(part.pivots, part.residuals, params, k, budget))
-        ]
+        schedule = itertools.takewhile(
+            lambda q: q <= budget.max_prime_power, prime_powers_coprime(k)
+        )
+        return [({"base": k}, _BsSearch(part.pivots, part.residuals, params, k, schedule))]
     if part.mod is None:
-        return [
-            (
-                {"component": part.component, "ring": 0},
-                _ZPartSearch(part.pivots, part.residuals, params, budget, part.component),
-            )
-        ]
+        search = _ZPartSearch(part.pivots, part.residuals, params, budget, part.component)
+        return [({"component": part.component, "ring": 0}, search)]
     out = []
-    rings_to_try = [part.mod] + [d for d in range(part.mod - 1, 1, -1) if part.mod % d == 0]
-    for d in rings_to_try:
+    for d in [part.mod] + [d for d in range(part.mod - 1, 1, -1) if part.mod % d == 0]:
         rows, res = (
             (part.pivots, part.residuals)
             if d == part.mod
             else _project_rows(part.pivots, part.residuals, d)
         )
-        out.append(
-            (
-                {"component": part.component, "ring": d},
-                _WreathSearch(rows, res, params, d, budget, component=part.component),
-            )
-        )
+        schedule = _monics(d, budget.max_monic_degree)
+        search = _WreathSearch(rows, res, params, d, schedule, part.component)
+        out.append(({"component": part.component, "ring": d}, search))
     return out
 
 
@@ -683,7 +625,7 @@ class _BranchSearches:
             return self.state
         live = False
         for desc, search in self.searches:
-            if search.state not in ("running",):
+            if search.state != "running":
                 continue
             r = search.step()
             self.levels += 1
@@ -892,7 +834,7 @@ def _lift_wreath(system, final: FinalBranch, spec, env: dict):
     return out, zeroed
 
 
-def _lift_candidates(system, build: Build, budget: Budget):
+def _lift_candidates(system, build: Build):
     """Assignments suggested by the surviving branches, small parameters first.
 
     Wreath zero lifts (see ``_lift_wreath``) follow after every plain lift,
@@ -1000,7 +942,7 @@ class _WitnessSearch:
         self.check = _witness_check(system)
         self.pending = deque()
         if build is not None:
-            self.pending.extend(_lift_candidates(system, build, budget))
+            self.pending.extend(_lift_candidates(system, build))
         self.gen = self._assignments()
         self.checked = 0
         self.exhausted = False
@@ -1072,7 +1014,7 @@ def enumerate_search(system: EquationSystem, budget: Budget | None = None):
 # Top level
 
 
-def _wrap_cert(cert: dict, system, budget: Budget) -> dict:
+def _wrap_cert(cert: dict, system) -> dict:
     out = {
         "version": CERT_VERSION,
         "system_hash": system_hash(system),
@@ -1106,12 +1048,12 @@ def _abelian_forms(system):
     return forms, list(red.zvars) + list(red.rvars)
 
 
-def _decide_abelian_bs(system, budget: Budget) -> Verdict:
+def _decide_abelian_bs(system) -> Verdict:
     """BS(1,1) is free abelian of rank 2; everything is one linear solve."""
     forms, allvars = _abelian_forms(system)
     sol = solve_forms(forms, allvars)
     if sol.status == "empty":
-        cert = _wrap_cert(_linear_infeasible("abelian", forms, allvars, sol), system, budget)
+        cert = _wrap_cert(_linear_infeasible("abelian", forms, allvars, sol), system)
         return Verdict("unsat", certificate=cert, stats={"stage": "abelian"})
     vals = dict(zip(allvars, sol.particular))
     witness = {
@@ -1129,9 +1071,9 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
     deadline = t0 + budget.time_limit if budget.time_limit else None
     spec = system.spec
     if spec.kind == "bs" and spec.k == 1:
-        return _decide_abelian_bs(system, budget)
+        return _decide_abelian_bs(system)
 
-    build = _build(system, budget, deadline)
+    build = _build(system, deadline)
     stats: dict = {
         "branches": len(build.finals) + len(build.refuted),
         "final_branches": len(build.finals),
@@ -1145,7 +1087,7 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
     if build.linear_cert is not None:
         return Verdict(
             "unsat",
-            certificate=_wrap_cert(build.linear_cert, system, budget),
+            certificate=_wrap_cert(build.linear_cert, system),
             stats=stats,
         )
 
@@ -1165,10 +1107,8 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
         if len(entries) == 1:
             inner = dict(entries[0]["cert"])
             inner["path"] = entries[0]["path"]
-            return _wrap_cert(inner, system, budget)
-        return _wrap_cert(
-            {"kind": "branch_refutation", "branches": entries}, system, budget
-        )
+            return _wrap_cert(inner, system)
+        return _wrap_cert({"kind": "branch_refutation", "branches": entries}, system)
 
     managers = [
         (f.path, _BranchSearches(build.kind, build.k, f.parts, f.params, budget))
@@ -1268,14 +1208,14 @@ def _is_prime(n) -> bool:
     return all(n % p for p in range(2, int(math.isqrt(n)) + 1))
 
 
-def _replay(kind, k, part: Part, params, inner, budget) -> bool:
+def _replay(kind, k, part: Part, params, inner) -> bool:
     """Whether the chain of a modulus obstruction empties the refinement of
     ``part`` (as the search that found it saw the part) at its last level."""
     chain = inner.get("chain")
     if kind == "bs":
         if inner.get("base") != k or not _bs_chain_ok(chain, k):
             return False
-        search = _BsSearch(part.pivots, part.residuals, params, k, budget, chain=chain)
+        search = _BsSearch(part.pivots, part.residuals, params, k, iter(chain))
     else:
         ring = inner.get("ring")
         if inner.get("projected_from") == 0:
@@ -1290,13 +1230,13 @@ def _replay(kind, k, part: Part, params, inner, budget) -> bool:
             return False
         if not _monic_chain_ok(chain, ring):
             return False
-        search = _WreathSearch(rows, res, params, ring, budget, chain=chain)
+        search = _WreathSearch(rows, res, params, ring, iter(chain))
     for _ in chain:
         search.step()
     return search.state == "refuted"
 
 
-def _check_obstruction(build: Build, parts, params, stage, cert: dict, budget) -> bool:
+def _check_obstruction(build: Build, parts, params, stage, cert: dict) -> bool:
     """Check the certificate of one branch whose ``parts`` the obstruction
     searches saw at ``stage``: "pivots" for a final branch, "residual" for a
     dead residual system (which may also be certified by its emptiness)."""
@@ -1318,19 +1258,19 @@ def _check_obstruction(build: Build, parts, params, stage, cert: dict, budget) -
         return not _residual_solutions(build.kind, build.k, part)
     if inner.get("kind") != "modulus_obstruction":
         return False
-    return _replay(build.kind, build.k, part, params, inner, budget)
+    return _replay(build.kind, build.k, part, params, inner)
 
 
-def _check_branch_cert(build: Build, path: str, cert: dict, budget) -> bool:
+def _check_branch_cert(build: Build, path: str, cert: dict) -> bool:
     for r in build.refuted:
         if r.path == path:
             if r.cert is not None:
                 # recorded by the build, so recomputed verbatim by the rebuild
                 return cert == r.cert
-            return _check_obstruction(build, r.parts, r.params, "residual", cert, budget)
+            return _check_obstruction(build, r.parts, r.params, "residual", cert)
     for f in build.finals:
         if f.path == path:
-            return _check_obstruction(build, f.parts, f.params, "pivots", cert, budget)
+            return _check_obstruction(build, f.parts, f.params, "pivots", cert)
     return False
 
 
@@ -1346,9 +1286,6 @@ def verify_certificate(cert: dict, system: EquationSystem) -> bool:
             return False
         if cert.get("system_hash") != system_hash(system):
             return False
-        # replay caps are fixed and generous; certificates are only issued
-        # when coverage was complete, so the rebuild below is reproducible
-        budget = Budget(branch_cap=4096)
         kind = cert.get("kind")
         spec = system.spec
         got = {kk: vv for kk, vv in cert.items() if kk not in ("version", "system_hash")}
@@ -1360,11 +1297,11 @@ def verify_certificate(cert: dict, system: EquationSystem) -> bool:
                 return False
             return got == _linear_infeasible("abelian", forms, allvars, sol)
 
+        # certificates are only issued when coverage was complete, so a
+        # rebuild under a larger branch cap reproduces the branches
+        build = _build(system, branch_cap=REBUILD_BRANCH_CAP)
         if kind == "linear_infeasible":
-            build = _build(system, budget)
             return build.linear_cert is not None and got == build.linear_cert
-
-        build = _build(system, budget)
         if build.linear_cert is not None or build.overflow:
             return False
         if kind == "branch_refutation":
@@ -1386,7 +1323,7 @@ def verify_certificate(cert: dict, system: EquationSystem) -> bool:
                 for kk, vv in e["cert"].items()
                 if kk not in ("version", "system_hash", "path")
             }
-            if not _check_branch_cert(build, e["path"], inner, budget):
+            if not _check_branch_cert(build, e["path"], inner):
                 return False
         return True
     except Exception:

@@ -11,6 +11,11 @@ One equation per line, letters separated by spaces.  A letter is a name with
 an optional integer exponent after ``^``.  Names starting with an uppercase
 letter are unknowns; lowercase names must be generators of the declared
 group.  ``1`` denotes the empty word.  ``#`` starts a comment.
+
+An equation may hold at most ``MAX_EQUATION_LETTERS`` unit letters, counted
+as the sum of |exponent| over the letters of both sides: the reduction
+unrolls every power, so ``X^2 = a^1000000000001`` is a parse error rather
+than an exhausted memory.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from .groups import GroupSpec
 
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]
+
+MAX_EQUATION_LETTERS = 100_000
 
 
 class ParseError(ValueError):
@@ -104,6 +111,11 @@ def _parse_equation(line: str, line_no: int, spec: GroupSpec, variables: set[str
     lhs_text, rhs_text = line.split("=")
     lhs = _parse_word(lhs_text, line_no, 1, spec, variables)
     rhs = _parse_word(rhs_text, line_no, len(lhs_text) + 2, spec, variables)
+    size = sum(abs(e) for _, e in lhs + rhs)
+    if size > MAX_EQUATION_LETTERS:
+        raise ParseError(
+            f"equation has {size} unit letters, more than {MAX_EQUATION_LETTERS}", line_no, 1
+        )
     return (lhs, rhs)
 
 

@@ -45,6 +45,15 @@ def test_exit_code_parse_error(tmp_path):
     assert "line 2" in r.stderr
 
 
+def test_oversized_equation_is_a_parse_error(tmp_path):
+    f = tmp_path / "huge.eq"
+    f.write_text("group BS 2\nX^2 = a^1000000000001\n")
+    r = run(["--format", "json", str(f)])
+    assert r.returncode == 65
+    assert "line 2" in r.stderr and "unit letters" in r.stderr
+    assert r.stdout == ""
+
+
 def test_exit_code_usage():
     assert run([]).returncode == 64
     assert run(["a.eq", "b.eq"]).returncode == 64

@@ -2,14 +2,17 @@ import copy
 import importlib
 import itertools
 import json
+import math
 import random
 
 from groupeq.decide import (
     Budget,
     _BsSearch,
+    _WreathSearch,
     _build,
     _bs_layer,
     _lift_candidates,
+    _monics,
     _witness_check,
     _wreath_layer,
     build_report,
@@ -29,7 +32,15 @@ from groupeq.groups import (
     verify_witness,
 )
 from groupeq.reduce import reduce_bs, triangularize
-from groupeq.rings import LaurentPoly, RElem, mult_order
+from groupeq.rings import (
+    LaurentPoly,
+    RElem,
+    mult_order,
+    poly_add,
+    poly_mul,
+    poly_reduce,
+    prime_powers_coprime,
+)
 
 # the benchmark's wreath families, as (free rank, torsion orders)
 WREATH_FAMILIES = [(0, (2,)), (0, (3,)), (1, ()), (1, (2,)), (2, ())]
@@ -160,6 +171,31 @@ def test_verify_rejects_foreign_system():
     assert not verify_certificate(v.certificate, other)
 
 
+def test_descending_chain_does_not_refute_a_sat_system():
+    """A chain may name a prime's powers in any order: an unknown's residue
+    is kept mod the lcm of the moduli, so q = 3 after q = 9 narrows nothing
+    and cannot empty a level of a solvable branch."""
+    decide_mod = importlib.import_module("groupeq.decide")
+    system = parse_system("group BS 2\nX^2 = a^3")
+    build = _build(system)
+    assert not build.refuted
+    (final,) = build.finals
+    forged = {
+        "version": 1,
+        "system_hash": system_hash(system),
+        "kind": "modulus_obstruction",
+        "stage": "pivots",
+        "base": 2,
+        "chain": [9, 3],
+        "rows": decide_mod._cert_rows(final.parts, "bs", "pivots"),
+        "params": list(final.params),
+        "path": final.path,
+    }
+    assert not verify_certificate(forged, system)
+    search = _BsSearch(final.parts[0].pivots, [], final.params, 2, iter([9, 3]))
+    assert [search.step(), search.step()] == ["running", "running"]
+
+
 def _tampers(cert):
     """Single-field edits that break validity (not merely produce another
     valid refutation)."""
@@ -266,9 +302,8 @@ def test_zero_lift_of_binomial_pivot():
     """A pivot with a non-monomial coefficient lifts to 0 when its row's rest
     vanishes; such a system used to wait for refinement and the balls."""
     system = parse_system("group wreath Z^0 x Z_3\nY t Z X^-1 = X^-1 Z t Y")
-    budget = Budget()
-    assert _lift_candidates(system, _build(system, budget), budget)
-    v = decide(system, budget)
+    assert _lift_candidates(system, _build(system))
+    v = decide(system)
     assert v.status == "sat"
     assert _rendered(system, v.witness) == {"X": "{} | 0", "Y": "{} | 0", "Z": "{} | 0"}
     assert v.stats["p2_levels"] == 0
@@ -286,7 +321,7 @@ def test_sat_verdict_certifies_no_dead_residual(monkeypatch):
     v = decide(system)
     assert v.status == "sat"
     assert _rendered(system, v.witness) == {"X": "{} | 0", "Y": "{} | 0", "Z": "{} | 0"}
-    assert sum(r.cert is None for r in _build(system, Budget()).refuted) == 3
+    assert sum(r.cert is None for r in _build(system).refuted) == 3
 
 
 def test_failing_lift_does_not_change_first_round_refutation(monkeypatch):
@@ -298,7 +333,7 @@ def test_failing_lift_does_not_change_first_round_refutation(monkeypatch):
     text = "group wreath Z^0 x Z_2\nX Y = Y^-1 X a^-1"
     system, plain = _run(text)
     assert plain.status == "unsat"
-    assert _build(system, Budget()).finals
+    assert _build(system).finals
     assert plain.stats["candidates_checked"] == plain.stats["p1_steps"] == 0
     assert plain.stats["rounds"] == 1
 
@@ -319,7 +354,7 @@ def test_refinement_frontier_is_crt_consistent():
     system = parse_system("group BS 2\nX^2 = a^3")
     red = reduce_bs(system)
     branch = [b for b in triangularize(red.rows, list(red.zvars)) if b.path != "z"][0]
-    search = _BsSearch(branch.pivots, branch.residuals, ["r_X"], 2, Budget())
+    search = _BsSearch(branch.pivots, branch.residuals, ["r_X"], 2, prime_powers_coprime(2))
     seen_mods = {}
     for _ in range(4):
         assert search.step() == "running"
@@ -330,25 +365,66 @@ def test_refinement_frontier_is_crt_consistent():
         lcm = 1
         for qq in seen_mods.values():
             o = mult_order(2, qq)
-            lcm = lcm * o // __import__("math").gcd(lcm, o)
+            lcm = lcm * o // math.gcd(lcm, o)
         assert search.var_mod == lcm
-        for vals, utab in search.frontier:
+        # each unknown's residue is taken mod the highest processed power of
+        # every prime (one residue mod their product, by CRT)
+        assert search.unknown_mod == math.prod(seen_mods.values())
+        for vals, residues in search.frontier:
             assert all(0 <= val < search.var_mod for val in vals)
+            assert all(0 <= res < search.unknown_mod for res in residues)
             env = dict(zip(search.params, vals))
-            for entries in utab:
-                primes = [pr for pr, _, _ in entries]
-                assert len(primes) == len(set(primes))
-                # each entry tracks the highest processed power of its prime
-                assert {pr: qq for pr, _, qq in entries} == {
-                    pr: qq for pr, qq in seen_mods.items()
-                }
-            # every recorded residue still satisfies the pivot row
-            for row, entries in zip(search.rows, utab):
-                for pr, res, qq in entries:
-                    period = mult_order(2, qq)
-                    coef = search._sum_mod(row.coeffs["X"], env, period, qq)
-                    const = search._sum_mod(row.const, env, period, qq)
-                    assert (coef * res + const) % qq == 0
+            # every residue still satisfies the pivot row mod each of those powers
+            for qq in seen_mods.values():
+                _, evaluate, _, _ = _BsSearch([], [], [], 2, iter(()))._level(qq)
+                for row, res in zip(search.rows, residues):
+                    coef = evaluate(row.coeffs["X"], env)
+                    assert (coef * res + evaluate(row.const, env)) % qq == 0
+
+
+def test_wreath_frontier_extends_the_previous_level():
+    """Each wreath node's residues mod the previous product of moduli are a
+    node of the previous level, every pivot row vanishes mod each processed
+    modulus at the node's parameters, and no such extension is left out."""
+    system = parse_system("group wreath Z^0 x Z_3\nX t^2 X = t a t^-1 a")
+    final = _build(system).finals[0]
+    part = final.parts[0]
+    search = _WreathSearch(part.pivots, part.residuals, final.params, 3, _monics(3, 3), 0)
+
+    def rows_vanish(vals, residues, h):
+        _, evaluate, _, vanishes = _WreathSearch([], [], [], 3, iter(()))._level(h)
+        env = dict(zip(search.params, vals))
+        pick = [(r, poly_reduce(r, tuple(h), 3)) for r in residues]
+        return all(
+            vanishes(
+                [(search.unknowns.index(u), evaluate(s, env)) for u, s in row.coeffs.items()],
+                evaluate(row.const, env),
+                pick,
+            )
+            for row in search.rows
+        )
+
+    for _ in range(3):
+        prev, prev_mod, prev_hprod = set(search.frontier), search.var_mod, search.hprod
+        assert search.step() == "running"
+        for vals, residues in search.frontier:
+            assert (
+                tuple(v % prev_mod for v in vals),
+                tuple(poly_reduce(r, prev_hprod, 3) for r in residues),
+            ) in prev
+            assert all(rows_vanish(vals, residues, h) for h in search.chain)
+        h = search.chain[-1]
+        lifts = [poly_mul(prev_hprod, v, 3) for v in itertools.product(range(3), repeat=len(h) - 1)]
+        shifts = range(0, search.var_mod, prev_mod)
+        expected = {
+            (vals2, res2)
+            for vals, residues in prev
+            for vals2 in itertools.product(*[[v + s for s in shifts] for v in vals])
+            for res2 in itertools.product(*[[poly_add(r, lift, 3) for lift in lifts] for r in residues])
+            if rows_vanish(vals2, res2, h)
+        }
+        assert set(search.frontier) == expected
+    assert len(search.frontier) > 1
 
 
 def test_determinism():
@@ -439,7 +515,6 @@ def test_witness_check_agrees_with_verify_witness():
     specs = [GroupSpec.bs(2), GroupSpec.bs(3)]
     specs += [GroupSpec.wreath(m, t) for m, t in WREATH_FAMILIES]
     exps = [-3, -2, -1, 1, 2, 3]
-    budget = Budget()
     tally = {"pairs": 0, "accepted": 0, "lifted": 0, "rejected_after_shift": 0}
     for spec in specs:
         shift_gen = "b" if spec.kind == "bs" else "t"
@@ -479,7 +554,7 @@ def test_witness_check_agrees_with_verify_witness():
             if not names:
                 continue
             planted = {x: planted[x] for x in names}
-            lifted = _lift_candidates(system, _build(system, budget), budget)
+            lifted = _lift_candidates(system, _build(system))
             cands = [planted] + lifted
             for _ in range(5):
                 cands.append({x: rng.choice(balls) for x in names})

@@ -127,3 +127,16 @@ def test_parse_exponent_zero_collapses_to_empty_word():
     lhs, rhs = s.equations[0]
     assert lhs == ()
     assert rhs == (("a", 1),)
+
+
+def test_parse_bounds_unit_letters_per_equation():
+    # |exponents| summed over both sides: 2 + 99998 is the bound itself
+    at_bound = parse_system("group BS 2\nX^2 = a^99998\nX = a^-99998 b")
+    assert at_bound.equations[0][1] == (("a", 99998),)
+    for text in ("group BS 2\nX^2 = a^99999",
+                 "group BS 2\nX^2 = a^1000000000001",
+                 "group wreath Z^1\nX = a^60000 t^-40001"):
+        with pytest.raises(ParseError) as exc:
+            parse_system(text)
+        assert exc.value.line == 2
+        assert "unit letters" in exc.value.message
