@@ -4,7 +4,10 @@ The input system is reduced to component form, case-split into finitely many
 triangular branches, and every branch is attacked from two sides at once:
 
 * a witness search proposes assignments (lifted from branch solutions, then
-  drawn from growing balls) and checks them with exact group arithmetic;
+  drawn from growing balls) and checks them with exact group arithmetic.  A
+  wreath lift solves each pivot row coef * X = -rest for its unknown by
+  exact division in Z[t, t^-1] or Z_n[t, t^-1]: a root X^n = w is lifted
+  when 1 + t^x + ... + t^((n-1)x) divides the lamps of w;
 * an obstruction search refines joint residue constraints over a growing
   chain of moduli, and an empty refinement level refutes the whole branch.
 
@@ -357,9 +360,15 @@ class _Refinement:
     vanish mod m.  An empty level is a refutation and the processed chain is
     the certificate.  A level that keeps more than ``NODE_CAP`` nodes or
     does more than ``WORK_CAP`` units of work saturates the search.
+    Certificate replay runs the same loop, so a level too big for a search
+    is too big for a replay, whatever modulus a certificate names.
 
     A ring adapter sets ``zero``, the residue of an unknown before the first
-    level, and supplies ``_level(m)``, which returns the period of the
+    level, and supplies ``_width(m)`` and ``_level(m)``.  ``_width(m)``
+    bounds both the number of residues one unknown's residue extends to at
+    modulus m and the length of the search for the period; it is charged as
+    work once for the setup and once per unknown of every node, before any
+    of that is listed.  ``_level(m)`` returns the period of the
     parameters mod m, an evaluator of an ``ExpSum`` at a parameter point,
     the extensions of one unknown's residue as (residue, value mod m) pairs,
     and a test whether a row (terms, constant) vanishes at a pick of
@@ -385,13 +394,19 @@ class _Refinement:
         if m is None:
             self.state = "exhausted"
             return self.state
+        width = self._width(m)
+        work = width
+        if work > WORK_CAP:
+            return _saturated(self)
         period, evaluate, extend, vanishes = self._level(m)
         m2 = math.lcm(self.var_mod, period)
         shifts = range(0, m2, self.var_mod)
         index = {u: i for i, u in enumerate(self.unknowns)}
-        work = 0
         new: dict = {}
         for vals, residues in self.frontier:
+            work += width * len(residues)
+            if work > WORK_CAP:
+                return _saturated(self)
             extensions = [extend(r) for r in residues]
             for shift in itertools.product(shifts, repeat=len(self.params)):
                 work += 1
@@ -438,6 +453,9 @@ class _BsSearch(_Refinement):
         self.base = k
         self.unknown_mod = 1
 
+    def _width(self, q):
+        return q
+
     def _level(self, q):
         k = self.base
         period = mult_order(k, q)
@@ -473,6 +491,9 @@ class _WreathSearch(_Refinement):
         self.ring = ring
         self.component = component
         self.hprod: tuple = (1,)
+
+    def _width(self, m):
+        return self.ring ** (len(m) - 1)
 
     def _level(self, m):
         n = self.ring
@@ -777,16 +798,47 @@ def _lift_bs(system, final: FinalBranch, k: int, env: dict):
     return out
 
 
+def _laurent_div(num: dict, den: dict, mod: int | None) -> dict | None:
+    """A quotient q with den * q == num over Z[t, t^-1] (mod None) or
+    Z_mod[t, t^-1], by long division from the top degree, or None.
+
+    Each step divides the top coefficient of the remainder by den's leading
+    coefficient with ``_div_exact``.  The quotient may not reach below
+    min(num) - min(den), which is where it ends over Z and over a prime ring;
+    there the quotient is unique, and None means that none exists.  Over a
+    composite ring a zero divisor at either end of den can leave several
+    quotients, or put the only one below that degree; the result is then
+    one of them, or None.
+    """
+    if not num:
+        return {}
+    if not den:
+        return None
+    top = max(den)
+    floor = min(num) - min(den)
+    rest, q = dict(num), {}
+    while rest:
+        d = max(rest)
+        if d - top < floor:
+            return None
+        w = _div_exact(rest[d], den[top], mod)
+        if w is None:
+            return None
+        q[d - top] = w
+        rest = _laurent_combine(rest, {e + d - top: c for e, c in den.items()}, -w, mod)
+    return q
+
+
 def _lift_wreath(system, final: FinalBranch, spec, env: dict):
     """Back-substitute the pivot rows of every part at the parameters env.
 
-    A pivot whose coefficient is a single monomial c*t^d is solved by exact
-    division.  For any other coefficient the pivot unknown is lifted to 0
-    when the rest of its row vanishes, and there is no lift otherwise.
-    Returns (assignment or None, whether a zero lift was used).
+    Each pivot row coef * X + acc = 0 is solved for its unknown X by exact
+    Laurent division of -acc by coef (``_laurent_div``); a row with no
+    quotient leaves the branch without a lift at env.  Returns (assignment
+    or None, whether some pivot coefficient was not a single monomial).
     """
     per_comp: dict[tuple[str, int], dict[int, int]] = {}
-    zeroed = False
+    non_monomial = False
     for part in final.parts:
         assigned: dict[str, dict[int, int]] = {}
         for u, row in reversed(part.pivots):
@@ -800,20 +852,10 @@ def _lift_wreath(system, final: FinalBranch, spec, env: dict):
                 for dd, cc in spoly.items():
                     for dw, cw in wpoly.items():
                         acc = _laurent_combine(acc, {dd + dw: cw}, cc, part.mod)
-            if len(coef) != 1:
-                if acc:
-                    return None, zeroed
-                zeroed = True
-                assigned[u] = {}
-                continue
-            (d0, v0), = coef.items()
-            res = {}
-            for d, c in acc.items():
-                w = _div_exact(-c, v0, part.mod)
-                if w is None:
-                    return None, zeroed
-                if w:
-                    res[d - d0] = w
+            non_monomial = non_monomial or len(coef) != 1
+            res = _laurent_div({d: -c for d, c in acc.items()}, coef, part.mod)
+            if res is None:
+                return None, non_monomial
             assigned[u] = res
         for name in system.variables:
             per_comp[(name, part.component)] = assigned.get(name, {})
@@ -825,25 +867,28 @@ def _lift_wreath(system, final: FinalBranch, spec, env: dict):
         degs = sorted(
             {d for c in range(spec.n_components) for d in per_comp[(name, c)]}
         )
+        # quotients hold only nonzero, reduced coefficients, so the sorted
+        # items are already in canonical form
         items = []
         for d in degs:
             free = tuple(per_comp[(name, c)].get(d, 0) for c in range(m))
             tors = tuple(per_comp[(name, m + j)].get(d, 0) for j in range(len(orders)))
-            items.append((d - y, RElem.make(free, tors, orders)))
-        out[name] = WreathElement(LaurentPoly.make(items, m, orders), x)
-    return out, zeroed
+            items.append((d - y, RElem(free, tors, orders)))
+        out[name] = WreathElement(LaurentPoly(tuple(items), m, orders), x)
+    return out, non_monomial
 
 
 def _lift_candidates(system, build: Build):
     """Assignments suggested by the surviving branches, small parameters first.
 
-    Wreath zero lifts (see ``_lift_wreath``) follow after every plain lift,
-    so a system that a plain lift decides keeps that witness.
+    A wreath lift that divided by a coefficient other than a single monomial
+    (see ``_lift_wreath``) follows after every plain lift, so a system that
+    a plain lift decides keeps that witness.
     """
     spec = system.spec
     seen = set()
     out = []
-    zero_lifts = []
+    late = []
     for final in build.finals:
         nparams = len(final.params)
         if nparams == 0:
@@ -855,14 +900,14 @@ def _lift_candidates(system, build: Build):
         for grid in grids:
             env = dict(zip(final.params, grid))
             if spec.kind == "bs":
-                cand, zeroed = _lift_bs(system, final, build.k, env), False
+                cand, non_monomial = _lift_bs(system, final, build.k, env), False
             else:
-                cand, zeroed = _lift_wreath(system, final, spec, env)
+                cand, non_monomial = _lift_wreath(system, final, spec, env)
             if cand is not None:
-                (zero_lifts if zeroed else out).append(cand)
+                (late if non_monomial else out).append(cand)
     uniq = []
-    for cand in out + zero_lifts:
-        key = tuple(sorted((v, repr(g)) for v, g in cand.items()))
+    for cand in out + late:
+        key = frozenset(cand.items())
         if key not in seen:
             seen.add(key)
             uniq.append(cand)
@@ -1212,14 +1257,15 @@ def _replay(kind, k, part: Part, params, inner) -> bool:
     """Whether the chain of a modulus obstruction empties the refinement of
     ``part`` (as the search that found it saw the part) at its last level."""
     chain = inner.get("chain")
+    projected = kind == "wreath" and inner.get("projected_from") == 0
     if kind == "bs":
         if inner.get("base") != k or not _bs_chain_ok(chain, k):
             return False
         search = _BsSearch(part.pivots, part.residuals, params, k, iter(chain))
     else:
         ring = inner.get("ring")
-        if inner.get("projected_from") == 0:
-            if part.mod is not None or not _is_prime(ring):
+        if projected:
+            if part.mod is not None or not isinstance(ring, int):
                 return False
             rows, res = _project_rows(part.pivots, part.residuals, ring)
         elif ring == part.mod:
@@ -1233,7 +1279,11 @@ def _replay(kind, k, part: Part, params, inner) -> bool:
         search = _WreathSearch(rows, res, params, ring, iter(chain))
     for _ in chain:
         search.step()
-    return search.state == "refuted"
+    if search.state != "refuted":
+        return False
+    # a projection's ring must be prime; tested last, since a refuted level
+    # listed ring^deg(h) <= WORK_CAP lifts, which bounds the trial division
+    return not projected or _is_prime(ring)
 
 
 def _check_obstruction(build: Build, parts, params, stage, cert: dict) -> bool:

@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import random
+import time
+from fractions import Fraction
 
 from groupeq.decide import (
     Budget,
@@ -11,6 +13,8 @@ from groupeq.decide import (
     _WreathSearch,
     _build,
     _bs_layer,
+    _cert_rows,
+    _laurent_div,
     _lift_candidates,
     _monics,
     _witness_check,
@@ -196,6 +200,41 @@ def test_descending_chain_does_not_refute_a_sat_system():
     assert [search.step(), search.step()] == ["running", "running"]
 
 
+def test_forged_huge_moduli_fail_fast(monkeypatch):
+    """A modulus too big for a search level is too big for its replay: the
+    level saturates before it computes a period or lists a residue, and a
+    projection's ring is tested for primality only after a refutation."""
+    decide_mod = importlib.import_module("groupeq.decide")
+    replays = []
+    replay = decide_mod._replay
+    monkeypatch.setattr(decide_mod, "_replay", lambda *a: replays.append(a) or replay(*a))
+    cases = [
+        ("group BS 2\nX^2 = a^3", {"base": 2, "chain": [1000000007]}),
+        ("group wreath Z^0 x Z_1000003\nX^2 = a",
+         {"ring": 1000003, "projected_from": None, "chain": [[1, 5, 7, 1]]}),
+        ("group wreath Z^1\nX^2 = a1",
+         {"ring": 1000003, "projected_from": 0, "chain": [[1, 5, 7, 1]]}),
+        ("group wreath Z^1\nX^2 = a1",
+         {"ring": 2**61 - 1, "projected_from": 0, "chain": [[1, 1]]}),
+    ]
+    for i, (text, where) in enumerate(cases):
+        system = parse_system(text)
+        build = _build(system)
+        (final,) = build.finals
+        inner = {"kind": "modulus_obstruction", "stage": "pivots", **where,
+                 "rows": _cert_rows(final.parts, build.kind, "pivots"),
+                 "params": list(final.params)}
+        if build.kind == "wreath":
+            inner = {"kind": "component_obstruction",
+                     "component": final.parts[0].component, "inner": inner}
+        forged = {"version": 1, "system_hash": system_hash(system), **inner,
+                  "path": final.path}
+        t0 = time.process_time()
+        assert not verify_certificate(forged, system), text
+        assert time.process_time() - t0 < 1, text
+        assert len(replays) == i + 1, text
+
+
 def _tampers(cert):
     """Single-field edits that break validity (not merely produce another
     valid refutation)."""
@@ -307,6 +346,109 @@ def test_zero_lift_of_binomial_pivot():
     assert v.status == "sat"
     assert _rendered(system, v.witness) == {"X": "{} | 0", "Y": "{} | 0", "Z": "{} | 0"}
     assert v.stats["p2_levels"] == 0
+
+
+def test_planted_root_lifts_by_division():
+    """X^3 = w with shift -1 has the pivot coefficient 1 + t^-1 + t^-2;
+    dividing the lamps of w by it lifts the root, so the first candidate
+    checked decides the system instead of a ball search of 609."""
+    system, v = _run("group wreath Z^2\nX^3 = t^-3 a1 t a1 t a1 t^-2")
+    assert v.status == "sat"
+    assert _rendered(system, v.witness) == {"X": "{-1:(1,0)} | -1"}
+    assert v.stats["candidates_checked"] == v.stats["p1_steps"] == 1
+    assert v.stats["p2_levels"] == 0
+
+
+def _laurent_mul(a, b, mod):
+    out = {}
+    for da, ca in a.items():
+        for db, cb in b.items():
+            out[da + db] = out.get(da + db, 0) + ca * cb
+    if mod is not None:
+        out = {d: c % mod for d, c in out.items()}
+    return {d: c for d, c in out.items() if c}
+
+
+def _field_quotient(num, den, mod):
+    """num / den in Q[t, t^-1] (mod None) or F_mod[t, t^-1], or None.
+
+    Both are shifted to start at degree 0; den then has a nonzero constant
+    term, so it divides num as a Laurent polynomial exactly when it divides
+    it as a polynomial, which schoolbook division decides.
+    """
+    lo_n, lo_d = min(num), min(den)
+    a = [Fraction(0)] * (max(num) - lo_n + 1)
+    b = [Fraction(0)] * (max(den) - lo_d + 1)
+    for d, c in num.items():
+        a[d - lo_n] = Fraction(c)
+    for d, c in den.items():
+        b[d - lo_d] = Fraction(c)
+    inv = 1 / b[-1] if mod is None else pow(int(b[-1]), -1, mod)
+    q = {}
+    for i in range(len(a) - len(b), -1, -1):
+        c = a[i + len(b) - 1] * inv
+        if mod is not None:
+            c %= mod
+        if c:
+            q[i + lo_n - lo_d] = c
+            for j, bj in enumerate(b):
+                a[i + j] -= c * bj
+                if mod is not None:
+                    a[i + j] %= mod
+    return None if any(a) else q
+
+
+def test_laurent_div_on_random_polynomials():
+    """Over every ring a returned quotient is exact; with a unit leading
+    coefficient the quotient of a product is its factor (over a composite
+    ring the trailing coefficient must be a unit too, or the factor may sit
+    below the degrees the division tries); over Z and a prime ring the
+    division agrees with field division, so None means no quotient."""
+    rng = random.Random(7)
+    tally = {"quotients": 0, "none": 0, "factor": 0, "reference": 0}
+
+    def rand_poly(mod, terms):
+        out = {}
+        for _ in range(terms):
+            out[rng.randint(-3, 3)] = rng.randint(-3, 3) if mod is None else rng.randrange(mod)
+        return {d: c for d, c in out.items() if c}
+
+    def unit(c, mod):
+        return abs(c) == 1 if mod is None else math.gcd(c, mod) == 1
+
+    for mod in (None, 2, 3, 4, 6):
+        for _ in range(400):
+            den = rand_poly(mod, rng.randint(1, 4))
+            q0 = rand_poly(mod, rng.randint(0, 4))
+            num = _laurent_mul(den, q0, mod)
+            if rng.random() < 0.4:
+                # one more term; multiplying by 1 reduces and prunes it
+                d = rng.randint(-6, 6)
+                num = _laurent_mul({**num, d: num.get(d, 0) + rng.randint(1, 3)}, {0: 1}, mod)
+            q = _laurent_div(num, den, mod)
+            if not den:
+                assert q == ({} if not num else None)
+                continue
+            if q is not None:
+                assert _laurent_mul(den, q, mod) == num, (mod, num, den, q)
+                tally["quotients"] += 1
+            else:
+                tally["none"] += 1
+            ends_unit = unit(den[max(den)], mod) and (
+                mod in (None, 2, 3) or unit(den[min(den)], mod)
+            )
+            if ends_unit and num == _laurent_mul(den, q0, mod):
+                assert q == q0, (mod, num, den, q0, q)
+                tally["factor"] += 1
+            if mod in (None, 2, 3) and num:
+                ref = _field_quotient(num, den, mod)
+                if ref is not None and any(c.denominator != 1 for c in ref.values()):
+                    ref = None
+                assert q == (None if ref is None else {d: int(c) for d, c in ref.items()}), (
+                    mod, num, den, q, ref,
+                )
+                tally["reference"] += 1
+    assert min(tally.values()) >= 200, tally
 
 
 def test_sat_verdict_certifies_no_dead_residual(monkeypatch):
