@@ -37,7 +37,7 @@ from .frontend import EquationSystem, system_hash
 from .groups import (
     BsElement,
     WreathElement,
-    generator,
+    eval_word,
     identity,
     mul,
     power,
@@ -918,37 +918,30 @@ def _witness_check(system):
     """A test of candidate assignments that accepts what ``verify_witness`` does.
 
     Candidates must assign every unknown of the system.  Once per system it
-    resolves the generator letters, multiplies each run of them into one
-    element, evaluates the sides without unknowns, and writes each equation's
-    total shift (the t-exponent, or the b-exponent in BS(1,k)) as an integer
-    form const + sum of e * shift(X).  Shift is a homomorphism onto Z, so a
-    candidate with a nonzero form fails; only the others have their sides
-    with unknowns multiplied out.
+    evaluates each run of generator letters into one element with
+    ``eval_word`` (so the sides without unknowns too), and writes each
+    equation's total shift (the t-exponent, or the b-exponent in BS(1,k)) as
+    an integer form const + sum of e * shift(X).  Shift is a homomorphism
+    onto Z, so a candidate with a nonzero form fails; only the others have
+    their sides with unknowns multiplied out.
     """
     spec = system.spec
     unknowns = set(system.variables)
     shift_of = operator.attrgetter("r" if spec.kind == "bs" else "shift")
-    gens: dict = {}
 
     def compile_side(word, sign, coefs):
         # terms (unknown, exponent, None) or (None, 0, constant element)
-        terms, run, const = [], None, 0
-        for name, e in word:
-            if name in unknowns:
-                coefs[name] = coefs.get(name, 0) + sign * e
-                if run is not None:
-                    terms.append((None, 0, run))
-                    run = None
-                terms.append((name, e, None))
+        terms = []
+        for is_unknown, letters in itertools.groupby(word, lambda letter: letter[0] in unknowns):
+            if not is_unknown:
+                terms.append((None, 0, eval_word(spec, list(letters), {})))
                 continue
-            if name not in gens:
-                gens[name] = generator(spec, name)
-            const += sign * e * shift_of(gens[name])
-            g = power(spec, gens[name], e)
-            run = g if run is None else mul(spec, run, g)
-        if run is not None or not terms:
-            terms.append((None, 0, identity(spec) if run is None else run))
-        return terms, const
+            for name, e in letters:
+                coefs[name] = coefs.get(name, 0) + sign * e
+                terms.append((name, e, None))
+        if not terms:
+            terms.append((None, 0, identity(spec)))
+        return terms, sign * sum(shift_of(g) for name, _, g in terms if name is None)
 
     forms, sides = [], []
     for lhs, rhs in system.equations:

@@ -10,6 +10,14 @@ pairs (p, x) with p a Laurent polynomial over A and x the shift:
     (p1, x1) * (p2, x2) = (p1 + t^x1 * p2, x1 + x2),
 
 the upper-triangular 2x2 matrix model [[t^x, p], [0, 1]].
+
+``mul``, ``power`` and ``inv`` implement these products literally; they are
+the reference model that the tests compare everything else against.
+``eval_word`` does not fold them over a wreath word, which would rebuild a
+canonical polynomial per letter.  A word's lamp configuration is the sum of
+t^(running shift) * a over its lamp letters a, so one pass adds each letter
+into a mutable lamp map and builds the canonical ``LaurentPoly`` once, at
+the end.
 """
 
 from __future__ import annotations
@@ -102,22 +110,31 @@ def generator(spec: GroupSpec, name: str):
         if name == "b":
             return BsElement(ZkFrac.zero(spec.k), 1)
         raise KeyError(name)
-    if name == "t":
+    comp = _lamp_index(spec, name)
+    if comp is None:
         return WreathElement(LaurentPoly.zero(spec.free_rank, spec.torsion), 1)
-    if name == "a" and spec.n_components == 1:
-        comp = 0
-    elif name.startswith("a") and name[1:].isdigit():
-        comp = int(name[1:]) - 1
-        if not 0 <= comp < spec.free_rank:
-            raise KeyError(name)
-    elif name.startswith("c") and name[1:].isdigit():
-        comp = spec.free_rank + int(name[1:]) - 1
-        if not spec.free_rank <= comp < spec.n_components:
-            raise KeyError(name)
-    else:
-        raise KeyError(name)
     poly = LaurentPoly.make([(0, _unit_relem(spec, comp))], spec.free_rank, spec.torsion)
     return WreathElement(poly, 0)
+
+
+def _lamp_index(spec: GroupSpec, name: str) -> int | None:
+    """The lamp component a wreath generator moves; None for t.
+
+    Raises KeyError for a name that is not a generator of spec.
+    """
+    if name == "t":
+        return None
+    if name == "a" and spec.n_components == 1:
+        return 0
+    if name.startswith("a") and name[1:].isdigit():
+        comp = int(name[1:]) - 1
+        if 0 <= comp < spec.free_rank:
+            return comp
+    elif name.startswith("c") and name[1:].isdigit():
+        comp = spec.free_rank + int(name[1:]) - 1
+        if spec.free_rank <= comp < spec.n_components:
+            return comp
+    raise KeyError(name)
 
 
 def mul(spec: GroupSpec, g, h):
@@ -149,16 +166,89 @@ def power(spec: GroupSpec, g, e: int):
 def eval_word(spec: GroupSpec, word, assignment: dict):
     """Evaluate a word (sequence of (name, exponent) letters) left to right.
 
-    Names are looked up in assignment first, then among the generators.
+    Names are looked up in assignment first, then among the generators; a
+    name that is neither raises KeyError.  A BS(1,k) word is folded with
+    ``mul`` and ``power``, its elements being O(1)-sized.  A wreath word is
+    evaluated in one pass into a lamp map {degree: component values} and a
+    running shift: t^e moves the shift, a lamp letter adds its exponent at
+    the shift, and an assigned unknown X^e adds the lamps of X^e there (see
+    ``_add_power``).  The canonical polynomial is built once, at the end, so
+    the cost is linear in the word and its unknowns' lamps, where a fold of
+    ``mul`` is quadratic in the lamp letters.
     """
-    acc = identity(spec)
+    if spec.kind == "bs":
+        acc = identity(spec)
+        for name, exp in word:
+            if name in assignment:
+                base = assignment[name]
+            else:
+                base = generator(spec, name)
+            acc = mul(spec, acc, power(spec, base, exp))
+        return acc
+    width = spec.n_components
+    lamps: dict[int, list[int]] = {}
+    shift = 0
     for name, exp in word:
         if name in assignment:
-            base = assignment[name]
+            g = assignment[name]
+            p = {d: c.free + c.torsion for d, c in g.poly.coeffs}
+            _add_power(lamps, shift, p, g.shift, exp)
+            shift += exp * g.shift
+            continue
+        comp = _lamp_index(spec, name)
+        if comp is None:
+            shift += exp
+            continue
+        vals = lamps.get(shift)
+        if vals is None:
+            vals = lamps[shift] = [0] * width
+        vals[comp] += exp
+    m, orders = spec.free_rank, spec.torsion
+    items = []
+    for d in sorted(lamps):
+        vals = lamps[d]
+        free = tuple(vals[:m])
+        tors = tuple(v % n for v, n in zip(vals[m:], orders))
+        if any(free) or any(tors):
+            items.append((d, RElem(free, tors, orders)))
+    return WreathElement(LaurentPoly(tuple(items), m, orders), shift)
+
+
+def _add_into(lamps: dict, src: dict, offset: int, scale: int = 1) -> None:
+    """lamps += scale * t^offset * src, both maps degree -> component values."""
+    for d, vals in src.items():
+        cur = lamps.get(d + offset)
+        if cur is None:
+            lamps[d + offset] = [scale * v for v in vals]
         else:
-            base = generator(spec, name)
-        acc = mul(spec, acc, power(spec, base, exp))
-    return acc
+            for i, v in enumerate(vals):
+                cur[i] += scale * v
+
+
+def _add_power(lamps: dict, at: int, p: dict, s: int, e: int) -> None:
+    """lamps += t^at * (lamps of (p, s)^e), p a map degree -> component values.
+
+    (p, s)^e has lamps p * (1 + t^s + ... + t^((e-1)s)) for e >= 1, and
+    (p, s)^-1 = (-t^-s p, -s).  With P_k the lamps of the k-th power, the
+    doubling steps P_2k = P_k + t^(ks) P_k and P_(k+1) = P_k + t^(ks) p
+    reach P_e in O(log e) steps, each linear in the lamps built so far.
+    """
+    if e == 0:
+        return
+    if s == 0:
+        _add_into(lamps, p, at, e)
+        return
+    if e < 0:
+        p, s, e = {d - s: [-v for v in vals] for d, vals in p.items()}, -s, -e
+    acc, k = p, 1
+    for bit in bin(e)[3:]:
+        doubled = {d: list(vals) for d, vals in acc.items()}
+        _add_into(doubled, acc, k * s)
+        acc, k = doubled, 2 * k
+        if bit == "1":
+            _add_into(acc, p, k * s)
+            k += 1
+    _add_into(lamps, acc, at)
 
 
 def verify_witness(system, assignment: dict) -> bool:

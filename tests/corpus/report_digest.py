@@ -1,14 +1,19 @@
 """Print a digest of every report the solver writes for a fixed set of inputs.
 
-One line per input, ``name report contract``.  ``report`` is the sha256 of
-the ``--format json`` report without its ``timing`` field (stats and key
-order included); ``contract`` is the sha256 of its verdict, witness and
-certificate only.  The inputs are the corpus instances under the default
+One line per input, ``name report contract``, and one more per sat input
+(below).  ``report`` is the sha256 of the ``--format json`` report without
+its ``timing`` field (stats and key order included); ``contract`` is the
+sha256 of its verdict, witness and certificate only.  The inputs are the corpus instances under the default
 Budget, then the ``commute`` and ``powers`` systems of every seed given as
 an argument, under that workload's Budget (``perfbench/workloads.py``,
 imported and never modified).  Two solvers that differ only in speed print
 the same lines, so comparing a change with its parent is a diff; a change
-that moves only search counters differs in the ``report`` column alone:
+that moves only search counters differs in the ``report`` column alone.
+After each sat input a second line, ``name verify answer | tampered``, holds
+the ``--verify-only`` answer on its report and on a copy whose system was
+tampered as the benchmark's audit workload does (``perfbench/run.py``
+``_tamper``), so the diff also covers the verifier's accept and reject
+decisions:
 
     PYTHONPATH=src python tests/corpus/report_digest.py 1 2 3 > change.txt
     PYTHONPATH=../parent/src python tests/corpus/report_digest.py 1 2 3 > parent.txt
@@ -29,18 +34,30 @@ from groupeq.frontend import parse_system
 CORPUS = pathlib.Path(__file__).parent
 sys.path.insert(0, str(CORPUS.parent.parent / "perfbench"))
 import workloads  # noqa: E402
+from run import _tamper  # noqa: E402
+from worker import _audit_op  # noqa: E402
+
+VERIFY = _audit_op()  # the checks and output lines of --verify-only
 
 
 def _sha(obj) -> str:
     return hashlib.sha256(json.dumps(obj, indent=2).encode()).hexdigest()
 
 
-def digest(text: str, budget: Budget) -> tuple[str, str]:
+def _answer(report: dict) -> str:
+    return "; ".join(VERIFY(json.dumps(report)).splitlines())
+
+
+def digest(text: str, budget: Budget) -> tuple[str, str, str | None]:
+    """The report and contract hashes, and for a sat report the verifier line."""
     system = parse_system(text)
     report = build_report(system, decide(system, budget), budget, 0.0)
+    verify = None
+    if report["verdict"] == "sat":
+        verify = f"{_answer(report)} | {_answer(_tamper(report))}"
     del report["timing"]
     contract = {key: report[key] for key in ("verdict", "witness", "certificate")}
-    return _sha(report), _sha(contract)
+    return _sha(report), _sha(contract), verify
 
 
 def inputs(seeds):
@@ -56,7 +73,10 @@ def inputs(seeds):
 
 def main(argv) -> None:
     for name, text, budget in inputs([int(a) for a in argv]):
-        print(name, *digest(text, budget), flush=True)
+        report, contract, verify = digest(text, budget)
+        print(name, report, contract, flush=True)
+        if verify is not None:
+            print(name, "verify", verify, flush=True)
 
 
 if __name__ == "__main__":

@@ -98,6 +98,18 @@ def test_verify_only_rejects_tampering(tmp_path):
     assert "FAILED" in v.stdout
 
 
+def test_verify_only_fails_a_witness_missing_an_unknown(tmp_path):
+    r = run(["--format", "json", "-"], stdin="group wreath Z^1\nX a = a X\n")
+    data = json.loads(r.stdout)
+    assert data["verdict"] == "sat"
+    data["witness"] = {}
+    rep = tmp_path / "partial.json"
+    rep.write_text(json.dumps(data))
+    v = run(["--verify-only", str(rep)])
+    assert v.returncode == 1
+    assert v.stdout == "witness: FAILED\n"
+
+
 def test_verify_only_rejects_garbage(tmp_path):
     rep = tmp_path / "junk.json"
     rep.write_text("{not json")

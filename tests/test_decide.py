@@ -764,6 +764,23 @@ def _reference_layer(spec, r, cap):
     return out
 
 
+def test_long_constant_word_is_sat_and_verifies(tmp_path, capsys):
+    from groupeq import cli
+
+    system = parse_system("group wreath Z^1\nX = " + " ".join(["t a"] * 1500) + "\n")
+    start = time.monotonic()
+    verdict = decide(system)
+    seconds = time.monotonic() - start
+    assert verdict.status == "sat" and seconds < 5.0
+    rep = tmp_path / "long.json"
+    rep.write_text(json.dumps(build_report(system, verdict, Budget(), seconds)))
+    capsys.readouterr()
+    start = time.monotonic()
+    assert cli.main(["--verify-only", str(rep)]) == cli.EXIT_SAT
+    assert time.monotonic() - start < 5.0
+    assert capsys.readouterr().out == "witness: ok\n"
+
+
 def test_wreath_layer_matches_reference():
     for m, tors in WREATH_FAMILIES:
         spec = GroupSpec.wreath(m, tors)

@@ -1,4 +1,7 @@
+import pathlib
 import random
+import sys
+import time
 from fractions import Fraction
 
 from groupeq.groups import (
@@ -25,6 +28,12 @@ ZWR = GroupSpec.wreath(1)
 MIXED = GroupSpec.wreath(1, (2,))
 
 FAMILIES = [BS2, BS3, LAMP, ZWR, MIXED]
+# every wreath family of the benchmark, and one with two torsion orders
+WREATHS = [GroupSpec.wreath(m, tors) for m, tors in
+           [(0, (2,)), (0, (3,)), (1, ()), (1, (2,)), (2, ()), (1, (4, 6))]]
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402  (independent wreath arithmetic, never modified)
 
 
 def _rand_bs(rng, spec):
@@ -189,3 +198,66 @@ def test_generator_names_by_family():
     assert LAMP.generator_names() == ["t", "c1", "a"]
     assert set(ZWR.generator_names()) == {"t", "a1", "a"}
     assert "a1" in MIXED.generator_names() and "c1" in MIXED.generator_names()
+
+
+def _fold(spec, word, assignment):
+    """The reference evaluation: a left fold of mul(acc, power(g, e))."""
+    acc = identity(spec)
+    for name, e in word:
+        g = assignment[name] if name in assignment else generator(spec, name)
+        acc = mul(spec, acc, power(spec, g, e))
+    return acc
+
+
+def test_eval_word_matches_fold_of_mul():
+    rng = random.Random(43)
+    for spec in WREATHS:
+        names = spec.generator_names() + ["X", "Y"]
+        for _ in range(150):
+            x, y = rand_element(rng, spec), rand_element(rng, spec)
+            assignment = {"X": x, "Y": WreathElement(y.poly, 0)}  # Y has shift 0
+            word = [
+                (rng.choice(names), rng.choice([0, 1, -1, 2, -3, rng.randint(-900, 900)]))
+                for _ in range(rng.randint(0, 8))
+            ]
+            assert eval_word(spec, word, assignment) == _fold(spec, word, assignment)
+
+
+def test_eval_word_matches_independent_wreath_eval():
+    rng = random.Random(47)
+    for spec in WREATHS:
+        fam = (spec.free_rank, spec.torsion)
+        names = ["t"] + workloads.lamp_names(fam)
+        for _ in range(100):
+            word = [(rng.choice(names), rng.randint(-50, 50)) for _ in range(rng.randint(0, 30))]
+            g = eval_word(spec, word, {})
+            lamps = {d: c.free + c.torsion for d, c in g.poly.coeffs}
+            assert (lamps, g.shift) == workloads.wreath_eval(fam, word)
+
+
+def test_eval_word_rejects_names_that_are_not_generators():
+    z1, z2 = GroupSpec.wreath(1), GroupSpec.wreath(2)
+    for spec, name in [(z1, "c1"), (z2, "a3"), (z2, "a"), (z1, "a0"), (z1, "X"), (BS2, "t")]:
+        try:
+            eval_word(spec, [("t" if spec.kind == "wreath" else "a", 1), (name, 2)], {})
+        except KeyError:
+            continue
+        raise AssertionError(f"{name} accepted over {spec.render()}")
+
+
+def test_long_lamplighter_word_is_linear():
+    start = time.monotonic()
+    g = eval_word(ZWR, [("t", 1), ("a", 1)] * 4000, {})
+    assert time.monotonic() - start < 5.0
+    assert g.shift == 4000
+    assert g.poly.component_dict(0) == {d: 1 for d in range(1, 4001)}
+
+
+def test_large_power_of_assigned_unknown():
+    x = WreathElement(
+        LaurentPoly.make([(d, RElem.make([d % 7 + 1], [], ())) for d in range(300)], 1, ()), 1
+    )
+    start = time.monotonic()
+    g = eval_word(ZWR, [("X", 20000)], {"X": x})
+    assert time.monotonic() - start < 2.0
+    assert g == power(ZWR, x, 20000)
