@@ -22,6 +22,7 @@ the end.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .rings import LaurentPoly, RElem, ZkFrac
@@ -171,10 +172,10 @@ def eval_word(spec: GroupSpec, word, assignment: dict):
     ``mul`` and ``power``, its elements being O(1)-sized.  A wreath word is
     evaluated in one pass into a lamp map {degree: component values} and a
     running shift: t^e moves the shift, a lamp letter adds its exponent at
-    the shift, and an assigned unknown X^e adds the lamps of X^e there (see
-    ``_add_power``).  The canonical polynomial is built once, at the end, so
-    the cost is linear in the word and its unknowns' lamps, where a fold of
-    ``mul`` is quadratic in the lamp letters.
+    the shift, and an assigned unknown X^e adds the lamps of ``power(X, e)``
+    there.  The canonical polynomial is built once, at the end, so the cost
+    is linear in the generator letters, where a fold of ``mul`` is quadratic
+    in the lamp letters.
     """
     if spec.kind == "bs":
         acc = identity(spec)
@@ -186,69 +187,25 @@ def eval_word(spec: GroupSpec, word, assignment: dict):
             acc = mul(spec, acc, power(spec, base, exp))
         return acc
     width = spec.n_components
-    lamps: dict[int, list[int]] = {}
+    lamps: defaultdict[int, list[int]] = defaultdict(lambda: [0] * width)
     shift = 0
     for name, exp in word:
         if name in assignment:
-            g = assignment[name]
-            p = {d: c.free + c.torsion for d, c in g.poly.coeffs}
-            _add_power(lamps, shift, p, g.shift, exp)
-            shift += exp * g.shift
+            h = power(spec, assignment[name], exp)
+            for d, c in h.poly.coeffs:
+                vals = lamps[shift + d]
+                for i, v in enumerate(c.free + c.torsion):
+                    vals[i] += v
+            shift += h.shift
             continue
         comp = _lamp_index(spec, name)
         if comp is None:
             shift += exp
-            continue
-        vals = lamps.get(shift)
-        if vals is None:
-            vals = lamps[shift] = [0] * width
-        vals[comp] += exp
-    m, orders = spec.free_rank, spec.torsion
-    items = []
-    for d in sorted(lamps):
-        vals = lamps[d]
-        free = tuple(vals[:m])
-        tors = tuple(v % n for v, n in zip(vals[m:], orders))
-        if any(free) or any(tors):
-            items.append((d, RElem(free, tors, orders)))
-    return WreathElement(LaurentPoly(tuple(items), m, orders), shift)
-
-
-def _add_into(lamps: dict, src: dict, offset: int, scale: int = 1) -> None:
-    """lamps += scale * t^offset * src, both maps degree -> component values."""
-    for d, vals in src.items():
-        cur = lamps.get(d + offset)
-        if cur is None:
-            lamps[d + offset] = [scale * v for v in vals]
         else:
-            for i, v in enumerate(vals):
-                cur[i] += scale * v
-
-
-def _add_power(lamps: dict, at: int, p: dict, s: int, e: int) -> None:
-    """lamps += t^at * (lamps of (p, s)^e), p a map degree -> component values.
-
-    (p, s)^e has lamps p * (1 + t^s + ... + t^((e-1)s)) for e >= 1, and
-    (p, s)^-1 = (-t^-s p, -s).  With P_k the lamps of the k-th power, the
-    doubling steps P_2k = P_k + t^(ks) P_k and P_(k+1) = P_k + t^(ks) p
-    reach P_e in O(log e) steps, each linear in the lamps built so far.
-    """
-    if e == 0:
-        return
-    if s == 0:
-        _add_into(lamps, p, at, e)
-        return
-    if e < 0:
-        p, s, e = {d - s: [-v for v in vals] for d, vals in p.items()}, -s, -e
-    acc, k = p, 1
-    for bit in bin(e)[3:]:
-        doubled = {d: list(vals) for d, vals in acc.items()}
-        _add_into(doubled, acc, k * s)
-        acc, k = doubled, 2 * k
-        if bit == "1":
-            _add_into(acc, p, k * s)
-            k += 1
-    _add_into(lamps, acc, at)
+            lamps[shift][comp] += exp
+    m, orders = spec.free_rank, spec.torsion
+    items = [(d, RElem.make(v[:m], v[m:], orders)) for d, v in lamps.items()]
+    return WreathElement(LaurentPoly.make(items, m, orders), shift)
 
 
 def verify_witness(system, assignment: dict) -> bool:
