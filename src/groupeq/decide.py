@@ -13,7 +13,12 @@ triangular branches, and every branch is attacked from two sides at once:
 
 Both refinements, over BS(1,k) and over A wr Z, run the level loop of
 ``_Refinement``; each ring supplies only its arithmetic, and the chain of
-moduli is handed in, so a certificate replays through the same loop.
+moduli is handed in, so a certificate replays through the same loop.  One
+constructor, ``_search``, builds a refinement for the search and for the
+replay.  One scheduler, ``_BranchSearches``, steps every refinement of a
+branch: a torsion component's refinements over its ring and its divisors
+run from the first round, and an integer component gains one new prime
+projection to Z_p[t] per round, primes ascending.
 
 Every Unsat verdict ships a certificate that can be replayed independently
 of the search that found it.  A ``Budget`` (``steps``, ``max_prime_power``,
@@ -60,6 +65,7 @@ from .rings import (
     LaurentPoly,
     RElem,
     ZkFrac,
+    is_prime,
     monic_enum,
     mult_order,
     poly_add,
@@ -157,8 +163,6 @@ class Build:
     refuted: list
     overflow: bool
     linear_cert: dict | None
-    lin_forms: list
-    evars: list
 
 
 @dataclass
@@ -231,7 +235,7 @@ def _build(system: EquationSystem, deadline=None, branch_cap=BRANCH_CAP) -> Buil
     sol = solve_forms(lin, evars)
     if sol.status == "empty":
         cert = _linear_infeasible("shared-linear", lin, evars, sol)
-        return Build(kind, k, [], [], False, cert, lin, evars)
+        return Build(kind, k, [], [], False, cert)
 
     varfs, params, _ = apply_solution(
         sol, evars, [AffineForm.var(v) for v in evars], "p0_"
@@ -337,7 +341,7 @@ def _build(system: EquationSystem, deadline=None, branch_cap=BRANCH_CAP) -> Buil
         if overflow:
             break
 
-    return Build(kind, k, finals, refuted, overflow, None, lin, evars)
+    return Build(kind, k, finals, refuted, overflow, None)
 
 
 # ---------------------------------------------------------------------------
@@ -549,95 +553,79 @@ def _project_rows(pivots, residuals, mod: int):
     return rows, [s for s in map(project, residuals) if not s.is_zero()]
 
 
-class _ZPartSearch:
-    """Integer-coefficient component handled through its prime projections.
+def _search(kind, k, part, params, ring, schedule):
+    """The refinement of ``part`` over the moduli of ``schedule``.
 
-    Primes are brought in one per step and all open projections advance one
-    level each step, so no single prime can starve the others.  Once a
-    projection is refuted, ``ring`` is its prime and ``chain`` its chain.
+    Over A wr Z it runs in Z_ring[t]: on the part's own rows when ``ring`` is
+    the part's coefficient ring, else on the rows projected to Z_ring (a
+    divisor of a torsion order, or a prime for an integer component, whose
+    certificate then says ``projected_from`` 0).  ``ring`` is unused for
+    BS(1,k).  Search and certificate replay both build refinements here.
     """
-
-    base = None
-    projected_from = 0
-
-    def __init__(self, pivots, residuals, params, budget, component):
-        self.pivots = pivots
-        self.residuals = residuals
-        self.params = params
-        self.max_monic_degree = budget.max_monic_degree
-        self.component = component
-        self.subs: list = []
-        self.state = "running"
-        self.ring = None
-        self.chain: list = []
-        self.primegen = itertools.takewhile(lambda p: p <= budget.max_prime_power, primes())
-
-    def step(self) -> str:
-        if self.state != "running":
-            return self.state
-        p = next(self.primegen, None)
-        if p is not None:
-            rows, res = _project_rows(self.pivots, self.residuals, p)
-            schedule = _monics(p, self.max_monic_degree)
-            self.subs.append((p, _WreathSearch(rows, res, self.params, p, schedule)))
-        live = False
-        for ring, sub in self.subs:
-            if sub.state != "running":
-                continue
-            r = sub.step()
-            if r == "refuted":
-                self.state = "refuted"
-                self.ring = ring
-                self.chain = list(sub.chain)
-                return self.state
-            if r == "running":
-                live = True
-        if not live and p is None:
-            self.state = "exhausted"
-        return self.state
+    if kind == "bs":
+        return _BsSearch(part.pivots, part.residuals, params, k, schedule)
+    if ring == part.mod:
+        rows, res = part.pivots, part.residuals
+    else:
+        rows, res = _project_rows(part.pivots, part.residuals, ring)
+    search = _WreathSearch(rows, res, params, ring, schedule, part.component)
+    if part.mod is None:
+        search.projected_from = 0
+    return search
 
 
 def _part_searches(kind, k, part, params, budget):
-    """All obstruction searches attached to one component of a branch."""
+    """The obstruction searches of one component of a branch.
+
+    Returns the searches that run from the first round, and an iterator of
+    the searches admitted one per round: an integer component's prime
+    projections, primes ascending up to ``max_prime_power``.
+    """
     if kind == "bs":
         schedule = itertools.takewhile(
             lambda q: q <= budget.max_prime_power, prime_powers_coprime(k)
         )
-        return [({"base": k}, _BsSearch(part.pivots, part.residuals, params, k, schedule))]
+        return [_search(kind, k, part, params, None, schedule)], iter(())
+
+    def over(ring):
+        return _search(kind, k, part, params, ring, _monics(ring, budget.max_monic_degree))
+
     if part.mod is None:
-        search = _ZPartSearch(part.pivots, part.residuals, params, budget, part.component)
-        return [({"component": part.component, "ring": 0}, search)]
-    out = []
-    for d in [part.mod] + [d for d in range(part.mod - 1, 1, -1) if part.mod % d == 0]:
-        rows, res = (
-            (part.pivots, part.residuals)
-            if d == part.mod
-            else _project_rows(part.pivots, part.residuals, d)
-        )
-        schedule = _monics(d, budget.max_monic_degree)
-        search = _WreathSearch(rows, res, params, d, schedule, part.component)
-        out.append(({"component": part.component, "ring": d}, search))
-    return out
+        return [], map(over, itertools.takewhile(lambda p: p <= budget.max_prime_power, primes()))
+    divisors = [part.mod] + [d for d in range(part.mod - 1, 1, -1) if part.mod % d == 0]
+    return [over(d) for d in divisors], iter(())
+
+
+def _describe(search) -> dict:
+    """How the frontier of an unknown verdict names a search."""
+    if search.base is not None:
+        return {"base": search.base}
+    return {"component": search.component, "ring": search.ring}
 
 
 class _BranchSearches:
-    """Obstruction searches for the parts of one branch, stepped in rounds.
+    """Every obstruction search of one branch, stepped in rounds.
 
-    The first search refuted yields the branch's certificate, recorded at
-    ``stage`` ("pivots" for a final branch, "residual" for a dead residual
-    system).
+    A round goes through the branch's components in order.  It admits the
+    component's next lazy search, if any (an integer component gains one new
+    prime projection per round), and then steps each running search of that
+    component once, oldest first, so no single prime starves the others.
+    The branch stays running while some search runs or a projection was
+    admitted.  The first search refuted yields the branch's certificate,
+    recorded at ``stage`` ("pivots" for a final branch, "residual" for a dead
+    residual system).
     """
 
     def __init__(self, kind, k, parts, params, budget, stage="pivots"):
         self.params = params
         self.stage = stage
         self.rows = _cert_rows(parts, kind, stage)
-        self.searches = []
-        for part in parts:
-            if not part.pivots and not part.residuals:
-                continue
-            self.searches.extend(_part_searches(kind, k, part, params, budget))
-        self.state = "running" if self.searches else "stalled"
+        self.components = [
+            _part_searches(kind, k, part, params, budget)
+            for part in parts
+            if part.pivots or part.residuals
+        ]
+        self.state = "running" if self.components else "stalled"
         self.cert: dict | None = None
         self.levels = 0
 
@@ -645,17 +633,22 @@ class _BranchSearches:
         if self.state != "running":
             return self.state
         live = False
-        for desc, search in self.searches:
-            if search.state != "running":
-                continue
-            r = search.step()
-            self.levels += 1
-            if r == "refuted":
-                self.cert = _obstruction(search, self.stage, self.rows, self.params)
-                self.state = "refuted"
-                return self.state
-            if r == "running":
+        for searches, admit in self.components:
+            new = next(admit, None)
+            if new is not None:
+                searches.append(new)
                 live = True
+            for search in searches:
+                if search.state != "running":
+                    continue
+                r = search.step()
+                self.levels += 1
+                if r == "refuted":
+                    self.cert = _obstruction(search, self.stage, self.rows, self.params)
+                    self.state = "refuted"
+                    return self.state
+                if r == "running":
+                    live = True
         if not live:
             self.state = "stalled"
         return self.state
@@ -764,19 +757,6 @@ def _div_exact(c: int, v: int, mod: int | None) -> int | None:
     return (c // g) * pow(v // g, -1, mod // g) % (mod // g)
 
 
-def _laurent_combine(acc, add, scale, mod):
-    out = dict(acc)
-    for d, c in add.items():
-        v = out.get(d, 0) + c * scale
-        if mod is not None:
-            v %= mod
-        if v:
-            out[d] = v
-        else:
-            out.pop(d, None)
-    return out
-
-
 def _lift_bs(system, final: FinalBranch, k: int, env: dict):
     assigned: dict[str, Fraction] = {}
     part = final.parts[0]
@@ -802,30 +782,44 @@ def _laurent_div(num: dict, den: dict, mod: int | None) -> dict | None:
     """A quotient q with den * q == num over Z[t, t^-1] (mod None) or
     Z_mod[t, t^-1], by long division from the top degree, or None.
 
-    Each step divides the top coefficient of the remainder by den's leading
-    coefficient with ``_div_exact``.  The quotient may not reach below
-    min(num) - min(den), which is where it ends over Z and over a prime ring;
-    there the quotient is unique, and None means that none exists.  Over a
-    composite ring a zero divisor at either end of den can leave several
-    quotients, or put the only one below that degree; the result is then
-    one of them, or None.
+    num's coefficients are nonzero (mod ``mod``).  Each step divides the
+    remainder's coefficient at a cursor degree by den's leading coefficient
+    with ``_div_exact`` and subtracts that multiple of den in place; the
+    remainder's top degree only falls, so the cursor walks down one degree
+    at a time.  The quotient may not reach below min(num) - min(den), which
+    is where it ends over Z and over a prime ring; there the quotient is
+    unique, and None means that none exists.  Over a composite ring a zero
+    divisor at either end of den can leave several quotients, or put the
+    only one below that degree; the result is then one of them, or None.
     """
     if not num:
         return {}
     if not den:
         return None
     top = max(den)
-    floor = min(num) - min(den)
+    lead = den[top]
+    lower = [(e - top, c) for e, c in den.items() if e != top]
+    floor = min(num) - min(den) + top
     rest, q = dict(num), {}
+    d = max(rest)
     while rest:
-        d = max(rest)
-        if d - top < floor:
+        if d < floor:
             return None
-        w = _div_exact(rest[d], den[top], mod)
-        if w is None:
-            return None
-        q[d - top] = w
-        rest = _laurent_combine(rest, {e + d - top: c for e, c in den.items()}, -w, mod)
+        c = rest.pop(d, 0)
+        if c:
+            w = _div_exact(c, lead, mod)
+            if w is None:
+                return None
+            q[d - top] = w
+            for e, cd in lower:
+                v = rest.get(d + e, 0) - w * cd
+                if mod is not None:
+                    v %= mod
+                if v:
+                    rest[d + e] = v
+                else:
+                    rest.pop(d + e, None)
+        d -= 1
     return q
 
 
@@ -848,12 +842,12 @@ def _lift_wreath(system, final: FinalBranch, spec, env: dict):
                 if w == u:
                     continue
                 wpoly = assigned.get(w, {})
-                spoly = s.eval_laurent(env)
-                for dd, cc in spoly.items():
+                for dd, cc in s.eval_laurent(env).items():
                     for dw, cw in wpoly.items():
-                        acc = _laurent_combine(acc, {dd + dw: cw}, cc, part.mod)
+                        acc[dd + dw] = acc.get(dd + dw, 0) + cc * cw
             non_monomial = non_monomial or len(coef) != 1
-            res = _laurent_div({d: -c for d, c in acc.items()}, coef, part.mod)
+            num = {d: -c for d, c in acc.items() if (c if part.mod is None else c % part.mod)}
+            res = _laurent_div(num, coef, part.mod)
             if res is None:
                 return None, non_monomial
             assigned[u] = res
@@ -1206,8 +1200,9 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
             "state": m.state,
             "levels": m.levels,
             "searches": [
-                {"desc": desc, "state": s.state, "chain": len(s.chain)}
-                for desc, s in m.searches
+                {"desc": _describe(s), "state": s.state, "chain": len(s.chain)}
+                for searches, _ in m.components
+                for s in searches
             ],
         }
         for path, m in managers
@@ -1240,43 +1235,33 @@ def _monic_chain_ok(chain, ring) -> bool:
     return True
 
 
-def _is_prime(n) -> bool:
-    if not isinstance(n, int) or n < 2:
-        return False
-    return all(n % p for p in range(2, int(math.isqrt(n)) + 1))
-
-
 def _replay(kind, k, part: Part, params, inner) -> bool:
     """Whether the chain of a modulus obstruction empties the refinement of
     ``part`` (as the search that found it saw the part) at its last level."""
     chain = inner.get("chain")
     projected = kind == "wreath" and inner.get("projected_from") == 0
     if kind == "bs":
+        ring = None
         if inner.get("base") != k or not _bs_chain_ok(chain, k):
             return False
-        search = _BsSearch(part.pivots, part.residuals, params, k, iter(chain))
     else:
+        # an integer part is seen through a projection, a torsion part over
+        # its own ring or a divisor of it
         ring = inner.get("ring")
-        if projected:
-            if part.mod is not None or not isinstance(ring, int):
-                return False
-            rows, res = _project_rows(part.pivots, part.residuals, ring)
-        elif ring == part.mod:
-            rows, res = part.pivots, part.residuals
-        elif part.mod is not None and isinstance(ring, int) and ring >= 2 and part.mod % ring == 0:
-            rows, res = _project_rows(part.pivots, part.residuals, ring)
-        else:
+        if not isinstance(ring, int) or projected != (part.mod is None):
+            return False
+        if not projected and not (ring >= 2 and part.mod % ring == 0):
             return False
         if not _monic_chain_ok(chain, ring):
             return False
-        search = _WreathSearch(rows, res, params, ring, iter(chain))
+    search = _search(kind, k, part, params, ring, iter(chain))
     for _ in chain:
         search.step()
     if search.state != "refuted":
         return False
     # a projection's ring must be prime; tested last, since a refuted level
     # listed ring^deg(h) <= WORK_CAP lifts, which bounds the trial division
-    return not projected or _is_prime(ring)
+    return not projected or is_prime(ring)
 
 
 def _check_obstruction(build: Build, parts, params, stage, cert: dict) -> bool:

@@ -378,9 +378,10 @@ def prime_powers_coprime(k: int) -> Iterator[int]:
         q += 1
 
 
+def is_prime(n) -> bool:
+    """Trial division; False for anything but an int >= 2."""
+    return isinstance(n, int) and n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
+
+
 def primes() -> Iterator[int]:
-    q = 2
-    while True:
-        if all(q % p for p in range(2, int(math.isqrt(q)) + 1)):
-            yield q
-        q += 1
+    return filter(is_prime, itertools.count(2))

@@ -315,6 +315,24 @@ def test_interleaving_refinement_keeps_stepping():
     assert v.stats["p1_steps"] == v.stats["rounds"] == 4
 
 
+def test_frontier_lists_each_prime_projection():
+    """An integer component gains one prime projection per scheduler step,
+    primes ascending, and an unknown verdict's frontier lists each one with
+    its component and chain length.  The pivot row 3*X + 2t^-2 + t^2 = 0
+    loses its unknown over Z_3, so no projection refutes it at this budget."""
+    system = parse_system("group wreath Z^1\nX^3 = t^-2 a1^-2 t^4 a1^-1 t^-2")
+    v = decide(system, Budget(steps=4, candidates_per_step=500))
+    assert v.status == "unknown"
+    assert v.stats["p2_levels"] == 5
+    [branch] = v.stats["frontier"]
+    assert branch["state"] == "running"
+    assert branch["levels"] == 5 + 4 + 3 + 2 + 1
+    assert branch["searches"] == [
+        {"desc": {"component": 0, "ring": p}, "state": "running", "chain": chain}
+        for p, chain in [(2, 5), (3, 4), (5, 3), (7, 2), (11, 1)]
+    ]
+
+
 def test_scheduler_refutes_in_first_round():
     system = parse_system("group wreath Z^1\nX^3 = a^2")
     v = decide(system, Budget())
@@ -767,18 +785,20 @@ def _reference_layer(spec, r, cap):
 def test_long_constant_word_is_sat_and_verifies(tmp_path, capsys):
     from groupeq import cli
 
-    system = parse_system("group wreath Z^1\nX = " + " ".join(["t a"] * 1500) + "\n")
-    start = time.monotonic()
-    verdict = decide(system)
-    seconds = time.monotonic() - start
-    assert verdict.status == "sat" and seconds < 5.0
-    rep = tmp_path / "long.json"
-    rep.write_text(json.dumps(build_report(system, verdict, Budget(), seconds)))
-    capsys.readouterr()
-    start = time.monotonic()
-    assert cli.main(["--verify-only", str(rep)]) == cli.EXIT_SAT
-    assert time.monotonic() - start < 5.0
-    assert capsys.readouterr().out == "witness: ok\n"
+    # the lift divides the lamps of (t a)^n by 1, which must be linear in n
+    for n in (1500, 12000):
+        system = parse_system("group wreath Z^1\nX = " + " ".join(["t a"] * n) + "\n")
+        start = time.monotonic()
+        verdict = decide(system)
+        seconds = time.monotonic() - start
+        assert verdict.status == "sat" and seconds < 5.0, (n, seconds)
+        rep = tmp_path / f"long{n}.json"
+        rep.write_text(json.dumps(build_report(system, verdict, Budget(), seconds)))
+        capsys.readouterr()
+        start = time.monotonic()
+        assert cli.main(["--verify-only", str(rep)]) == cli.EXIT_SAT
+        assert time.monotonic() - start < 5.0, n
+        assert capsys.readouterr().out == "witness: ok\n"
 
 
 def test_wreath_layer_matches_reference():
