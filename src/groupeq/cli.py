@@ -191,13 +191,16 @@ def _run_verify_only(path: str) -> int:
         ok = False
     witness = report.get("witness")
     if witness is not None:
-        try:
-            assignment = {
-                v: parse_element(system.spec, text) for v, text in witness.items()
-            }
-            good = verify_witness(system, assignment)
-        except (ValueError, KeyError):
-            good = False
+        # a witness maps unknowns to element texts; any other shape fails
+        good = isinstance(witness, dict) and all(isinstance(t, str) for t in witness.values())
+        if good:
+            try:
+                assignment = {
+                    v: parse_element(system.spec, text) for v, text in witness.items()
+                }
+                good = verify_witness(system, assignment)
+            except (ValueError, KeyError):
+                good = False
         print(f"witness: {'ok' if good else 'FAILED'}")
         ok = ok and good
     cert = report.get("certificate")

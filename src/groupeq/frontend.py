@@ -48,6 +48,7 @@ class EquationSystem:
 
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_INT_RE = re.compile(r"[+-]?\d+")
 
 
 def parse_spec(text: str, line_no: int = 1) -> GroupSpec:
@@ -89,7 +90,14 @@ def parse_spec(text: str, line_no: int = 1) -> GroupSpec:
 
 
 def parse_system(text: str) -> EquationSystem:
+    """Parse a ``group ...`` header and one equation per following line.
+
+    The set of generator names is built once, from the header, and every
+    word of the system is checked against it.  A ParseError carries the
+    1-based line and column of the offending text.
+    """
     spec: GroupSpec | None = None
+    gens: frozenset[str] = frozenset()
     equations: list[tuple[Word, Word]] = []
     variables: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -98,19 +106,20 @@ def parse_system(text: str) -> EquationSystem:
             continue
         if spec is None:
             spec = parse_spec(line, line_no)
+            gens = frozenset(spec.generator_names())
             continue
-        equations.append(_parse_equation(line, line_no, spec, variables))
+        equations.append(_parse_equation(line, line_no, gens, variables))
     if spec is None:
         raise ParseError("missing 'group ...' header", 1, 1)
     return EquationSystem(spec=spec, equations=tuple(equations), variables=tuple(sorted(variables)))
 
 
-def _parse_equation(line: str, line_no: int, spec: GroupSpec, variables: set[str]):
+def _parse_equation(line: str, line_no: int, gens: frozenset[str], variables: set[str]):
     if line.count("=") != 1:
         raise ParseError("an equation needs exactly one '='", line_no, line.find("=") + 1 or 1)
     lhs_text, rhs_text = line.split("=")
-    lhs = _parse_word(lhs_text, line_no, 1, spec, variables)
-    rhs = _parse_word(rhs_text, line_no, len(lhs_text) + 2, spec, variables)
+    lhs = _parse_word(lhs_text, line_no, 1, gens, variables)
+    rhs = _parse_word(rhs_text, line_no, len(lhs_text) + 2, gens, variables)
     size = sum(abs(e) for _, e in lhs + rhs)
     if size > MAX_EQUATION_LETTERS:
         raise ParseError(
@@ -119,10 +128,15 @@ def _parse_equation(line: str, line_no: int, spec: GroupSpec, variables: set[str
     return (lhs, rhs)
 
 
-def _parse_word(text: str, line_no: int, col0: int, spec: GroupSpec, variables: set[str]) -> Word:
+def _parse_word(text: str, line_no: int, col0: int, gens: frozenset[str], variables: set[str]) -> Word:
+    """The letters of one side of an equation, zero exponents dropped.
+
+    text starts at column col0 of its line.  Lowercase names must be in
+    gens, the generator names of the system's group; uppercase names are
+    added to variables.  Exponents are matched in place, without slicing.
+    """
     letters: list[Letter] = []
     pos = 0
-    gens = set(spec.generator_names())
     while pos < len(text):
         if text[pos].isspace():
             pos += 1
@@ -142,11 +156,11 @@ def _parse_word(text: str, line_no: int, col0: int, spec: GroupSpec, variables: 
         exp = 1
         if pos < len(text) and text[pos] == "^":
             pos += 1
-            em = re.match(r"[+-]?\d+", text[pos:])
+            em = _INT_RE.match(text, pos)
             if not em:
                 raise ParseError("expected an integer exponent after '^'", line_no, col0 + pos)
             exp = int(em.group(0))
-            pos += em.end()
+            pos = em.end()
         if name[0].isupper():
             variables.add(name)
         elif name not in gens:
@@ -157,7 +171,7 @@ def _parse_word(text: str, line_no: int, col0: int, spec: GroupSpec, variables: 
 
 
 def _is_int(s: str) -> bool:
-    return bool(re.fullmatch(r"[+-]?\d+", s))
+    return _INT_RE.fullmatch(s) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -151,16 +151,26 @@ def inv(spec: GroupSpec, g):
 
 
 def power(spec: GroupSpec, g, e: int):
-    """g^e by square and multiply (g^-1 raised to -e when e < 0)."""
+    """g^e by square and multiply (g^-1 raised to -e when e < 0).
+
+    The accumulator starts at g^(2^j), j the lowest set bit of e, rather
+    than at the identity, so g^1 is g itself and no product is taken with
+    the identity; g^0 is the identity.
+    """
     if e < 0:
         g, e = inv(spec, g), -e
-    acc = identity(spec)
+    if e == 0:
+        return identity(spec)
+    while not e & 1:
+        g = mul(spec, g, g)
+        e >>= 1
+    acc = g
+    e >>= 1
     while e:
+        g = mul(spec, g, g)
         if e & 1:
             acc = mul(spec, acc, g)
         e >>= 1
-        if e:
-            g = mul(spec, g, g)
     return acc
 
 
@@ -169,23 +179,25 @@ def eval_word(spec: GroupSpec, word, assignment: dict):
 
     Names are looked up in assignment first, then among the generators; a
     name that is neither raises KeyError.  A BS(1,k) word is folded with
-    ``mul`` and ``power``, its elements being O(1)-sized.  A wreath word is
-    evaluated in one pass into a lamp map {degree: component values} and a
-    running shift: t^e moves the shift, a lamp letter adds its exponent at
-    the shift, and an assigned unknown X^e adds the lamps of ``power(X, e)``
-    there.  The canonical polynomial is built once, at the end, so the cost
-    is linear in the generator letters, where a fold of ``mul`` is quadratic
-    in the lamp letters.
+    ``mul`` and ``power``, starting from its first letter's power, its
+    elements being O(1)-sized.  A wreath word is evaluated in one pass into
+    a lamp map {degree: component values} and a running shift: t^e moves
+    the shift, a lamp letter adds its exponent at the shift, and an assigned
+    unknown X^e adds the lamps of ``power(X, e)`` there.  The canonical
+    polynomial is built once, at the end, so the cost is linear in the
+    generator letters, where a fold of ``mul`` is quadratic in the lamp
+    letters.
     """
     if spec.kind == "bs":
-        acc = identity(spec)
+        acc = None
         for name, exp in word:
             if name in assignment:
                 base = assignment[name]
             else:
                 base = generator(spec, name)
-            acc = mul(spec, acc, power(spec, base, exp))
-        return acc
+            g = power(spec, base, exp)
+            acc = g if acc is None else mul(spec, acc, g)
+        return identity(spec) if acc is None else acc
     width = spec.n_components
     lamps: defaultdict[int, list[int]] = defaultdict(lambda: [0] * width)
     shift = 0
@@ -212,13 +224,20 @@ def verify_witness(system, assignment: dict) -> bool:
     """Check a candidate assignment against every equation of the system.
 
     Exact arithmetic, no approximation.  system needs .spec and
-    .equations (pairs of words).
+    .equations (pairs of words).  Each equation lhs = rhs is re-multiplied
+    once, as the single word lhs rhs^-1 (rhs reversed, its exponents
+    negated), and holds exactly when that word evaluates to the identity.
+    An assignment that names a generator of the group is rejected, since
+    ``eval_word`` would read that generator as the assigned element.
     """
     spec = system.spec
+    if not assignment.keys().isdisjoint(spec.generator_names()):
+        return False
+    one = identity(spec)
     for lhs, rhs in system.equations:
-        gl = eval_word(spec, lhs, assignment)
-        gr = eval_word(spec, rhs, assignment)
-        if gl != gr:
+        word = list(lhs)
+        word.extend((name, -e) for name, e in reversed(rhs))
+        if eval_word(spec, word, assignment) != one:
             return False
     return True
 

@@ -110,6 +110,31 @@ def test_verify_only_fails_a_witness_missing_an_unknown(tmp_path):
     assert v.stdout == "witness: FAILED\n"
 
 
+def _sat_report_with_witness(tmp_path, witness):
+    data = json.loads(run(["--format", "json", "-"], stdin=SAT).stdout)
+    data["witness"] = witness
+    rep = tmp_path / "forged.json"
+    rep.write_text(json.dumps(data))
+    return run(["--verify-only", str(rep)])
+
+
+def test_verify_only_fails_a_witness_that_is_a_list(tmp_path):
+    v = _sat_report_with_witness(tmp_path, ["X"])
+    assert (v.returncode, v.stdout, v.stderr) == (1, "witness: FAILED\n", "")
+
+
+def test_verify_only_fails_a_witness_whose_element_is_a_number(tmp_path):
+    v = _sat_report_with_witness(tmp_path, {"X": 5})
+    assert (v.returncode, v.stdout, v.stderr) == (1, "witness: FAILED\n", "")
+
+
+def test_verify_only_fails_a_witness_that_rebinds_a_generator(tmp_path):
+    # X^2 = a^3 holds with X = a = identity, but a is not the witness's to assign
+    v = _sat_report_with_witness(tmp_path, {"X": "0 | 0", "a": "0 | 0"})
+    assert (v.returncode, v.stdout) == (1, "witness: FAILED\n")
+    assert _sat_report_with_witness(tmp_path, {"X": "3*2^-1 | 0"}).returncode == 0
+
+
 def test_verify_only_rejects_garbage(tmp_path):
     rep = tmp_path / "junk.json"
     rep.write_text("{not json")

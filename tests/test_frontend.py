@@ -51,7 +51,44 @@ def test_parse_error_carries_location():
     with pytest.raises(ParseError) as exc:
         parse_system("group BS 2\na = a\nX ^ = a")
     assert exc.value.line == 3
-    assert exc.value.col >= 1
+    assert exc.value.col == 3
+    assert exc.value.message == "unexpected character '^'"
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    # header errors point at the header line, column 1
+    ("group", "expected 'group BS <k>' or 'group wreath ...'", 1, 1),
+    ("# c\ngroup BS two", "expected 'group BS <k>' with integer k", 2, 1),
+    ("group BS 0", "k must be >= 1", 1, 1),
+    ("group wreath", "expected 'group wreath Z^<m> [x Z_<n> ...]'", 1, 1),
+    ("group wreath Q", "bad free part 'Q'; expected Z^<m>", 1, 1),
+    ("group wreath Z^-1", "free rank must be >= 0", 1, 1),
+    ("group wreath Z x Z_1", "bad torsion part 'Z_1'; expected Z_<n> with n >= 2", 1, 1),
+    ("group free 2", "unknown group family 'free'", 1, 1),
+    ("\n# only a comment\n", "missing 'group ...' header", 1, 1),
+    # '=' errors point at the first '=', or column 1 when there is none
+    ("group BS 2\nX = a = b", "an equation needs exactly one '='", 2, 3),
+    ("group BS 2\nX a", "an equation needs exactly one '='", 2, 1),
+    ("group BS 2\nX^2 = a^99999", "equation has 100001 unit letters, more than 100000", 2, 1),
+    # letter errors point at the letter, on either side of the '='
+    ("group BS 2\nX = 1a", "'1' must stand alone as the empty word", 2, 5),
+    ("group BS 2\nX = a 1^2", "'1' must stand alone as the empty word", 2, 7),
+    ("group BS 2\nX = a * b", "unexpected character '*'", 2, 7),
+    ("group BS 2\nX^12 = a^-3 $", "unexpected character '$'", 2, 13),
+    ("group BS 2\nX = a^12 b^x", "expected an integer exponent after '^'", 2, 12),
+    ("group BS 2\nX^+ = a", "expected an integer exponent after '^'", 2, 3),
+    ("group BS 2\nX = q", "unknown generator 'q'", 2, 5),
+    ("group BS 2\nX = a^12 q", "unknown generator 'q'", 2, 10),
+    ("group BS 2\nX^12 = a^-3 q^2", "unknown generator 'q'", 2, 13),
+    ("group wreath Z^0 x Z_2\nX t^-10 = c1^10 b", "unknown generator 'b'", 2, 17),
+    ("group wreath Z^0 x Z_2\nX t^-10 = c1^10 t^x", "expected an integer exponent after '^'", 2, 19),
+    ("group wreath Z^2\n  X a1^3 = a2^-12 a X", "unknown generator 'a'", 2, 19),
+])
+def test_parse_error_message_line_and_col(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_system(text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+    assert str(exc.value) == f"line {line}, col {col}: {message}"
 
 
 def test_parse_rejects_missing_group_line():

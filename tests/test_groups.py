@@ -18,7 +18,7 @@ from groupeq.groups import (
     render_element,
     verify_witness,
 )
-from groupeq.frontend import parse_system
+from groupeq.frontend import EquationSystem, parse_system
 from groupeq.rings import LaurentPoly, RElem, ZkFrac
 
 BS2 = GroupSpec.bs(2)
@@ -183,6 +183,59 @@ def test_verify_witness_worked_examples():
         [(0, RElem.make([], [1], (2,))), (1, RElem.make([], [1], (2,)))], 0, (2,)
     )
     assert verify_witness(s3, {"X": WreathElement(p, 0)})
+
+
+def _two_sided(system, assignment):
+    """The reference check: both sides of every equation evaluated and compared."""
+    spec = system.spec
+    return all(eval_word(spec, lhs, assignment) == eval_word(spec, rhs, assignment)
+               for lhs, rhs in system.equations)
+
+
+def test_verify_witness_matches_two_sided_check():
+    rng = random.Random(53)
+    seen = {True: 0, False: 0}
+    for spec in [BS2, BS3] + WREATHS:
+        gens = spec.generator_names()
+
+        def word(n):
+            # X has a nonzero shift, Y shift 0; unknown exponents in -3..3
+            return tuple((rng.choice(gens), rng.randint(-4, 4)) if rng.random() < 0.6
+                         else (rng.choice("XY"), rng.randint(-3, 3))
+                         for _ in range(n))
+
+        for _ in range(60):
+            x = rand_element(rng, spec)
+            while (x.r if spec.kind == "bs" else x.shift) == 0:
+                x = rand_element(rng, spec)
+            y = rand_element(rng, spec)
+            y = BsElement(y.u, 0) if spec.kind == "bs" else WreathElement(y.poly, 0)
+            assignment = {"X": x, "Y": y}
+            equations = []
+            for _ in range(rng.randint(1, 3)):
+                lhs, rest = word(rng.randint(0, 5)), word(rng.randint(0, 4))
+                # planted: Z is the one element with lhs = Z rest, or lhs = rest Z^-1
+                g, h = eval_word(spec, lhs, assignment), eval_word(spec, rest, assignment)
+                name = f"Z{len(equations)}"
+                if rng.random() < 0.5:
+                    assignment[name] = mul(spec, g, inv(spec, h))
+                    rhs = ((name, 1),) + rest
+                else:
+                    assignment[name] = mul(spec, inv(spec, g), h)
+                    rhs = rest + ((name, -1),)
+                if rng.random() < 0.3:  # break it: Z moves by a generator
+                    moved = mul(spec, assignment[name], generator(spec, rng.choice(gens)))
+                    assignment[name] = moved
+                equations.append((lhs, rhs))
+            if rng.random() < 0.3:  # an equation that holds only by chance
+                equations.append((word(rng.randint(0, 4)), word(rng.randint(0, 4))))
+            rng.shuffle(equations)
+            variables = tuple(sorted(n for n in assignment))
+            system = EquationSystem(spec=spec, equations=tuple(equations), variables=variables)
+            want = _two_sided(system, assignment)
+            assert verify_witness(system, assignment) == want, (spec, equations)
+            seen[want] += 1
+    assert seen[True] >= 100 and seen[False] >= 100, seen
 
 
 def test_render_parse_element_round_trip():
