@@ -174,20 +174,17 @@ def _print_human(report: dict, out) -> None:
     print(f"time: {report['timing']['seconds']}s", file=out)
 
 
-def _run_verify_only(path: str) -> int:
-    try:
-        report = json.loads(_read_text(path))
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"groupeq: cannot load report: {e}", file=sys.stderr)
-        return EXIT_DATA
-    try:
-        system = parse_system(report["system"])
-    except (KeyError, TypeError, ParseError) as e:
-        print(f"groupeq: report has no readable system: {e}", file=sys.stderr)
-        return EXIT_DATA
+def verify_lines(report: dict, system) -> tuple[bool, list[str]]:
+    """The checks of ``--verify-only`` on a loaded report and its parsed system.
+
+    Returns whether every check passed, and the lines ``--verify-only``
+    prints: a system-hash mismatch, then the witness and certificate
+    answers, or a note that the report carries neither.
+    """
     ok = True
+    lines = []
     if report.get("system_hash") != system_hash(system):
-        print("system hash: MISMATCH", file=sys.stdout)
+        lines.append("system hash: MISMATCH")
         ok = False
     witness = report.get("witness")
     if witness is not None:
@@ -201,15 +198,32 @@ def _run_verify_only(path: str) -> int:
                 good = verify_witness(system, assignment)
             except (ValueError, KeyError):
                 good = False
-        print(f"witness: {'ok' if good else 'FAILED'}")
+        lines.append(f"witness: {'ok' if good else 'FAILED'}")
         ok = ok and good
     cert = report.get("certificate")
     if cert is not None:
         good = verify_certificate(cert, system)
-        print(f"certificate: {'ok' if good else 'FAILED'}")
+        lines.append(f"certificate: {'ok' if good else 'FAILED'}")
         ok = ok and good
     if witness is None and cert is None:
-        print("nothing to verify (no witness or certificate in report)")
+        lines.append("nothing to verify (no witness or certificate in report)")
+    return ok, lines
+
+
+def _run_verify_only(path: str) -> int:
+    try:
+        report = json.loads(_read_text(path))
+    except (OSError, json.JSONDecodeError) as e:
+        print(f"groupeq: cannot load report: {e}", file=sys.stderr)
+        return EXIT_DATA
+    try:
+        system = parse_system(report["system"])
+    except (KeyError, TypeError, ParseError) as e:
+        print(f"groupeq: report has no readable system: {e}", file=sys.stderr)
+        return EXIT_DATA
+    ok, lines = verify_lines(report, system)
+    for line in lines:
+        print(line)
     return EXIT_SAT if ok else EXIT_UNSAT
 
 

@@ -13,9 +13,11 @@ letter are unknowns; lowercase names must be generators of the declared
 group.  ``1`` denotes the empty word.  ``#`` starts a comment.
 
 An equation may hold at most ``MAX_EQUATION_LETTERS`` unit letters, counted
-as the sum of |exponent| over the letters of both sides: the reduction
-unrolls every power, so ``X^2 = a^1000000000001`` is a parse error rather
-than an exhausted memory.
+as the sum of |exponent| over the letters of both sides, so
+``X^2 = a^1000000000001`` is a parse error.  The reduction reads a generator
+run as one term or one shift, but an unknown's power ``X^e`` still gives e
+terms, and a long t-shift still gives a long Laurent division when a wreath
+root is lifted.
 """
 
 from __future__ import annotations

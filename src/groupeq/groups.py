@@ -111,14 +111,14 @@ def generator(spec: GroupSpec, name: str):
         if name == "b":
             return BsElement(ZkFrac.zero(spec.k), 1)
         raise KeyError(name)
-    comp = _lamp_index(spec, name)
+    comp = lamp_index(spec, name)
     if comp is None:
         return WreathElement(LaurentPoly.zero(spec.free_rank, spec.torsion), 1)
     poly = LaurentPoly.make([(0, _unit_relem(spec, comp))], spec.free_rank, spec.torsion)
     return WreathElement(poly, 0)
 
 
-def _lamp_index(spec: GroupSpec, name: str) -> int | None:
+def lamp_index(spec: GroupSpec, name: str) -> int | None:
     """The lamp component a wreath generator moves; None for t.
 
     Raises KeyError for a name that is not a generator of spec.
@@ -210,7 +210,7 @@ def eval_word(spec: GroupSpec, word, assignment: dict):
                     vals[i] += v
             shift += h.shift
             continue
-        comp = _lamp_index(spec, name)
+        comp = lamp_index(spec, name)
         if comp is None:
             shift += exp
         else:
@@ -227,16 +227,29 @@ def verify_witness(system, assignment: dict) -> bool:
     .equations (pairs of words).  Each equation lhs = rhs is re-multiplied
     once, as the single word lhs rhs^-1 (rhs reversed, its exponents
     negated), and holds exactly when that word evaluates to the identity.
+    Before that, the word's total shift is summed: the t-exponent, or the
+    b-exponent in BS(1,k), a homomorphism onto Z under which t (or b) maps
+    to 1, every other generator to 0 and an unknown to its element's
+    shift.  A word whose total shift is not 0 is not the identity, so it
+    fails without multiplying, however large the witness's exponents.
     An assignment that names a generator of the group is rejected, since
     ``eval_word`` would read that generator as the assigned element.
     """
     spec = system.spec
-    if not assignment.keys().isdisjoint(spec.generator_names()):
+    names = spec.generator_names()
+    if not assignment.keys().isdisjoint(names):
         return False
+    bs = spec.kind == "bs"
+    shift_name = "b" if bs else "t"
+    shifts = {name: int(name == shift_name) for name in names}
+    for v, g in assignment.items():
+        shifts[v] = g.r if bs else g.shift
     one = identity(spec)
     for lhs, rhs in system.equations:
         word = list(lhs)
         word.extend((name, -e) for name, e in reversed(rhs))
+        if sum(shifts[name] * e for name, e in word):
+            return False
         if eval_word(spec, word, assignment) != one:
             return False
     return True

@@ -333,13 +333,18 @@ class AffineForm:
         return self.const + sum(c * env[v] for v, c in self.terms)
 
     def substitute(self, env: dict[str, "AffineForm"]) -> "AffineForm":
-        out = AffineForm.constant(self.const)
+        """Each variable in env replaced by its form, summed in one pass."""
+        acc: dict[str, int] = {}
+        const = self.const
         for v, c in self.terms:
-            if v in env:
-                out = out + env[v].scale(c)
-            else:
-                out = out + AffineForm.var(v, c)
-        return out
+            form = env.get(v)
+            if form is None:
+                acc[v] = acc.get(v, 0) + c
+                continue
+            const += c * form.const
+            for w, d in form.terms:
+                acc[w] = acc.get(w, 0) + c * d
+        return AffineForm.make(acc, const)
 
     def render(self) -> str:
         parts = []

@@ -11,17 +11,27 @@ signed sums of t-power monomials with affine exponents in the shift
 variables x_i and the support offsets y_i, plus one shared linear equation
 over the x_i.
 
+Both reductions read each equation once, as the letter runs of lhs rhs^-1,
+with a running prefix: the affine form of the shift (b- or t-exponent) so
+far.  A generator run a^m is one term with coefficient m and a run t^m or
+b^m one shift of the prefix, so the cost does not grow with m; only an
+unknown's run X^e gives e terms, one per unit letter.  ``ExpSum.make``
+merges equal exponent forms, so the rows are those of the unit letters.
+
 The triangularization lives here too; the downstream search procedures
-consume the branches this module produces.
+consume the branches this module produces.  It keeps one branch per
+structure: two branches whose pivots, residuals and side assumptions agree
+as multisets (the path aside) are one branch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .frontend import EquationSystem, Word
-from .groups import GroupSpec, generator
+from .groups import GroupSpec, lamp_index
 from .intlinalg import AffineForm
 
 
@@ -74,6 +84,11 @@ class ExpSum:
         return self + (-other)
 
     def __mul__(self, other: "ExpSum") -> "ExpSum":
+        # every ExpSum comes from make, so a product with 1 is the other factor
+        if other.terms == _ONE:
+            return self
+        if self.terms == _ONE and other.mod == self.mod:
+            return other
         items = []
         for f1, c1 in self.terms:
             for f2, c2 in other.terms:
@@ -128,6 +143,9 @@ class ExpSum:
         return s[1:] if s.startswith("+") else s
 
 
+_ONE = ((AffineForm.constant(0), 1),)  # the terms of the ExpSum 1
+
+
 # ---------------------------------------------------------------------------
 # Component systems
 
@@ -140,7 +158,10 @@ class Row:
     const: ExpSum
 
     def normalized(self) -> "Row":
-        return Row({u: s for u, s in self.coeffs.items() if not s.is_zero()}, self.const)
+        """This row without zero coefficients; the row itself if it has none."""
+        if all(s.terms for s in self.coeffs.values()):
+            return self
+        return Row({u: s for u, s in self.coeffs.items() if s.terms}, self.const)
 
     def substitute(self, env: dict[str, AffineForm]) -> "Row":
         return Row(
@@ -148,19 +169,20 @@ class Row:
             self.const.substitute(env),
         ).normalized()
 
-    def scale(self, s: ExpSum) -> "Row":
-        return Row({u: c * s for u, c in self.coeffs.items()}, self.const * s)
+    def eliminate(self, u: str, pivot: "Row") -> "Row":
+        """pivot[u] * self - self[u] * pivot, a row without the unknown u.
 
-    def sub_scaled(self, other: "Row", factor_self: ExpSum, factor_other: ExpSum) -> "Row":
-        """factor_self * self - factor_other * other."""
-        out: dict[str, ExpSum] = {}
-        for u, c in self.coeffs.items():
-            out[u] = c * factor_self
-        for u, c in other.coeffs.items():
-            cur = out.get(u)
-            prod = c * factor_other
-            out[u] = (cur - prod) if cur is not None else -prod
-        return Row(out, self.const * factor_self - other.const * factor_other).normalized()
+        Its u column, pivot[u] * self[u] - self[u] * pivot[u], is zero, so it
+        is not computed.
+        """
+        a, b = pivot.coeffs[u], self.coeffs[u]
+        out: dict[str, ExpSum] = {v: c * a for v, c in self.coeffs.items() if v != u}
+        for v, c in pivot.coeffs.items():
+            if v != u:
+                cur = out.get(v)
+                prod = c * b
+                out[v] = (cur - prod) if cur is not None else -prod
+        return Row(out, self.const * a - pivot.const * b).normalized()
 
     def render(self, base: str) -> str:
         parts = [f"({s.render(base)})*{u}" for u, s in sorted(self.coeffs.items())]
@@ -196,19 +218,29 @@ class WreathSystem:
     fvars: list[str]
 
 
-def _expand(word: Word) -> list[tuple[str, int]]:
-    """Flatten exponents into unit letters with sign +-1."""
-    out = []
-    for name, exp in word:
-        step = 1 if exp > 0 else -1
-        for _ in range(abs(exp)):
-            out.append((name, step))
-    return out
+def _equation_word(lhs: Word, rhs: Word) -> Word:
+    """The letter runs of lhs rhs^-1: rhs reversed, its exponents negated."""
+    return lhs + tuple((name, -exp) for name, exp in reversed(rhs))
 
 
-def _equation_word(lhs: Word, rhs: Word) -> list[tuple[str, int]]:
-    inv_rhs = tuple((name, -exp) for name, exp in reversed(rhs))
-    return _expand(lhs + inv_rhs)
+def _unknown_run(prefix: AffineForm, step: AffineForm, e: int):
+    """Where the |e| unit letters of X^e stand, and the prefix after them.
+
+    step is X's shift variable.  A unit letter X stands at the prefix before
+    it, a unit letter X^-1 at the prefix after it, so each of the |e| letters
+    gives one term: X^e with e > 0 at prefix + j*step (j = 0..e-1), with
+    e < 0 at prefix - j*step (j = 1..|e|).
+    """
+    at = []
+    if e > 0:
+        for _ in range(e):
+            at.append(prefix)
+            prefix = prefix + step
+    else:
+        for _ in range(-e):
+            prefix = prefix - step
+            at.append(prefix)
+    return at, prefix
 
 
 def rvar(x: str) -> str:
@@ -224,29 +256,29 @@ def yvar(x: str) -> str:
 
 
 def reduce_bs(system: EquationSystem) -> ExpLinSystem:
-    spec = system.spec
-    k = spec.k
+    """Exponential rows and linear forms of a BS(1,k) system, one pass per equation.
+
+    The word lhs rhs^-1 is read run by run with a running prefix, the affine
+    form of the b-exponent so far.  a = (1, 0) and b = (0, 1), so a run a^m
+    adds the one constant term m * k^-prefix and a run b^m shifts the
+    prefix by m; an unknown's run X^e adds one term per unit letter.
+    """
+    k = system.spec.k
     rows: list[Row] = []
     linear: list[AffineForm] = []
     for lhs, rhs in system.equations:
         prefix = AffineForm.constant(0)
         zterms: dict[str, list] = {}
         cterms: list = []
-        for name, s in _equation_word(lhs, rhs):
+        for name, e in _equation_word(lhs, rhs):
             if name[0].isupper():
-                rv = AffineForm.var(rvar(name))
-                if s > 0:
-                    zterms.setdefault(name, []).append((-prefix, 1))
-                    prefix = prefix + rv
-                else:
-                    zterms.setdefault(name, []).append((rv - prefix, -1))
-                    prefix = prefix - rv
+                at, prefix = _unknown_run(prefix, AffineForm.var(rvar(name)), e)
+                sign = 1 if e > 0 else -1
+                zterms.setdefault(name, []).extend((-f, sign) for f in at)
+            elif name == "b":
+                prefix = prefix.shift(e)
             else:
-                g = generator(spec, name)
-                u, r = (g.u, g.r) if s > 0 else ((-g.u).scale_kpow(g.r), -g.r)
-                if not u.is_zero():
-                    cterms.append((AffineForm.constant(-u.depth) - prefix, u.num))
-                prefix = prefix.shift(r)
+                cterms.append((-prefix, e))
         row = Row(
             {v: ExpSum.make(items) for v, items in zterms.items()},
             ExpSum.make(cterms),
@@ -272,30 +304,35 @@ def reduce_bs(system: EquationSystem) -> ExpLinSystem:
 
 
 def reduce_wreath(system: EquationSystem) -> WreathSystem:
+    """Per-component rows and the shared linear forms of an A wr Z system.
+
+    The word lhs rhs^-1 is read run by run with a running prefix, the affine
+    form of the t-exponent so far.  Each generator name is resolved once per
+    system to the lamp component it moves (None for t): a run t^m shifts the
+    prefix by m, a lamp run adds the one term m * t^prefix to its component,
+    and an unknown's run X^e adds one term per unit letter.
+    """
     spec = system.spec
+    lamps = {name: lamp_index(spec, name) for name in spec.generator_names()}
     shared_linear: list[AffineForm] = []
-    # raw rows hold RElem constants; split per component afterwards
+    # per equation: unknown terms, and constant terms (form, component, coef)
     raw: list[tuple[dict[str, list], list]] = []
     for lhs, rhs in system.equations:
         prefix = AffineForm.constant(0)
         fterms: dict[str, list] = {}
         cterms: list = []
-        for name, s in _equation_word(lhs, rhs):
+        for name, e in _equation_word(lhs, rhs):
             if name[0].isupper():
-                xv = AffineForm.var(xvar(name))
-                yv = AffineForm.var(yvar(name))
-                if s > 0:
-                    fterms.setdefault(name, []).append((prefix - yv, 1))
-                    prefix = prefix + xv
-                else:
-                    fterms.setdefault(name, []).append((prefix - xv - yv, -1))
-                    prefix = prefix - xv
+                at, prefix = _unknown_run(prefix, AffineForm.var(xvar(name)), e)
+                sign = 1 if e > 0 else -1
+                neg_yv = AffineForm.var(yvar(name), -1)
+                fterms.setdefault(name, []).extend((f + neg_yv, sign) for f in at)
             else:
-                g = generator(spec, name)
-                poly, x = (g.poly, g.shift) if s > 0 else ((-g.poly).shift(-g.shift), -g.shift)
-                for deg, relem in poly.coeffs:
-                    cterms.append((prefix.shift(deg), relem))
-                prefix = prefix.shift(x)
+                comp = lamps[name]
+                if comp is None:
+                    prefix = prefix.shift(e)
+                else:
+                    cterms.append((prefix, comp, e))
         raw.append((fterms, cterms))
         if prefix.terms or prefix.const:
             shared_linear.append(prefix)
@@ -307,7 +344,7 @@ def reduce_wreath(system: EquationSystem) -> WreathSystem:
         for fterms, cterms in raw:
             row = Row(
                 {v: ExpSum.make(items, mod) for v, items in fterms.items()},
-                ExpSum.make([(f, relem.component(comp)) for f, relem in cterms], mod),
+                ExpSum.make([(f, e) for f, c, e in cterms if c == comp], mod),
             ).normalized()
             if row.coeffs or not row.const.is_zero():
                 rows.append(row)
@@ -355,8 +392,6 @@ class TriBranch:
 def _is_unit(coef: int, mod: int | None) -> bool:
     if mod is None:
         return coef in (1, -1)
-    import math
-
     return math.gcd(coef, mod) == 1
 
 
@@ -367,15 +402,28 @@ def _pivot_score(s: ExpSum, mod: int | None) -> tuple[int, int]:
     return (2, len(s.terms))
 
 
+def _branch_key(branch: TriBranch) -> tuple:
+    """Equal for two branches exactly when their rendered lines, path aside,
+    are equal as multisets: the sorted structures the lines render."""
+    lines = [
+        ("pivot", u, tuple(sorted((v, s.terms) for v, s in row.coeffs.items())), row.const.terms)
+        for u, row in branch.pivots
+    ]
+    lines += [("residual", s.terms) for s in branch.residuals]
+    lines += [("side", s.terms) for s in branch.side]
+    return tuple(sorted(lines))
+
+
 def triangularize(rows: list[Row], mod: int | None, branch_cap: int = 512) -> list[TriBranch]:
-    """Case-split elimination; the union of branch solution sets covers the input."""
+    """Case-split elimination; the union of branch solution sets covers the input.
+
+    Branches that differ only in their path are kept once, the first found.
+    """
     out: list[TriBranch] = []
-    seen: set[str] = set()
-    base = "k" if mod is None else "t"
+    seen: set[tuple] = set()
 
     def emit(branch: TriBranch) -> None:
-        key = branch.render(base)
-        key = "\n".join(sorted(key.splitlines()[1:]))
+        key = _branch_key(branch)
         if key not in seen:
             seen.add(key)
             out.append(branch)
@@ -410,12 +458,7 @@ def triangularize(rows: list[Row], mod: int | None, branch_cap: int = 512) -> li
             walk(rest + [zrow], pivots, residuals + [coef], side, path + "z")
             side = side + [coef]
             path = path + "n"
-        eliminated = []
-        for row in rest:
-            if u in row.coeffs:
-                eliminated.append(row.sub_scaled(prow, coef, row.coeffs[u]))
-            else:
-                eliminated.append(row)
+        eliminated = [row.eliminate(u, prow) if u in row.coeffs else row for row in rest]
         walk(eliminated, pivots + [(u, prow)], residuals, side, path + ".")
 
     walk(rows, [], [], [], "")

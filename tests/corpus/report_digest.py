@@ -13,14 +13,17 @@ After each sat input a second line, ``name verify answer | tampered``, holds
 the ``--verify-only`` answer on its report and on a copy whose system was
 tampered as the benchmark's audit workload does (``perfbench/run.py``
 ``_tamper``), so the diff also covers the verifier's accept and reject
-decisions:
+decisions.  The answer is the output lines of ``groupeq.cli.verify_lines``,
+the function ``--verify-only`` prints, joined by ``; ``:
 
     PYTHONPATH=src python tests/corpus/report_digest.py 1 2 3 > change.txt
     PYTHONPATH=../parent/src python tests/corpus/report_digest.py 1 2 3 > parent.txt
     diff parent.txt change.txt
     diff <(cut -d' ' -f1,3 parent.txt) <(cut -d' ' -f1,3 change.txt)
 
-The ``groupeq`` package is whichever one ``PYTHONPATH`` names.
+The ``groupeq`` package is whichever one ``PYTHONPATH`` names; it needs
+``groupeq.cli.verify_lines``, so a checkout older than that function is
+digested with its own copy of this script.
 """
 
 import hashlib
@@ -28,6 +31,7 @@ import json
 import pathlib
 import sys
 
+from groupeq.cli import verify_lines
 from groupeq.decide import Budget, build_report, decide
 from groupeq.frontend import parse_system
 
@@ -35,9 +39,6 @@ CORPUS = pathlib.Path(__file__).parent
 sys.path.insert(0, str(CORPUS.parent.parent / "perfbench"))
 import workloads  # noqa: E402
 from run import _tamper  # noqa: E402
-from worker import _audit_op  # noqa: E402
-
-VERIFY = _audit_op()  # the checks and output lines of --verify-only
 
 
 def _sha(obj) -> str:
@@ -45,7 +46,8 @@ def _sha(obj) -> str:
 
 
 def _answer(report: dict) -> str:
-    return "; ".join(VERIFY(json.dumps(report)).splitlines())
+    _, lines = verify_lines(report, parse_system(report["system"]))
+    return "; ".join(lines)
 
 
 def digest(text: str, budget: Budget) -> tuple[str, str, str | None]:

@@ -135,6 +135,27 @@ def test_verify_only_fails_a_witness_that_rebinds_a_generator(tmp_path):
     assert _sat_report_with_witness(tmp_path, {"X": "3*2^-1 | 0"}).returncode == 0
 
 
+def test_verify_only_fails_a_witness_with_a_huge_shift_at_once(tmp_path):
+    # multiplying X = (1, 10^10) would build 2^(10^10); the shift check fails it first
+    v = _sat_report_with_witness(tmp_path, {"X": "1 | 10000000000"})
+    assert (v.returncode, v.stdout) == (1, "witness: FAILED\n")
+
+
+def test_verify_lines_are_what_verify_only_prints(tmp_path):
+    from groupeq.cli import verify_lines
+    from groupeq.frontend import parse_system
+
+    reports = [json.loads(run(["--format", "json", "-"], stdin=t).stdout) for t in (SAT, UNSAT)]
+    moved = dict(reports[0], system=SAT.replace("a^3", "a^5"))  # hash mismatch, witness fails
+    bare = dict(reports[1], certificate=None)  # nothing to verify
+    for i, report in enumerate(reports + [moved, bare]):
+        rep = tmp_path / f"r{i}.json"
+        rep.write_text(json.dumps(report))
+        v = run(["--verify-only", str(rep)])
+        ok, lines = verify_lines(report, parse_system(report["system"]))
+        assert (v.returncode, v.stdout) == (0 if ok else 1, "".join(f"{x}\n" for x in lines))
+
+
 def test_verify_only_rejects_garbage(tmp_path):
     rep = tmp_path / "junk.json"
     rep.write_text("{not json")

@@ -185,6 +185,20 @@ def test_verify_witness_worked_examples():
     assert verify_witness(s3, {"X": WreathElement(p, 0)})
 
 
+def test_verify_witness_fails_a_nonzero_total_shift_before_multiplying():
+    # X = (1, 10^10) would make X^2 build k^(10^10); its b-exponent sum is
+    # 2 * 10^10 against 0 for a^3, so the witness fails at once
+    s = parse_system("group BS 2\nX^2 = a^3")
+    assert not verify_witness(s, {"X": parse_element(BS2, "1 | 10000000000")})
+    s = parse_system("group wreath Z^1\nX^2 = t a")
+    assert not verify_witness(s, {"X": parse_element(ZWR, "{} | 10000000000")})
+    # shifts that cancel still reach the multiplication, which decides
+    s = parse_system("group BS 2\nX Y = a")
+    x, y = parse_element(BS2, "1 | 5"), parse_element(BS2, "0 | -5")
+    assert verify_witness(s, {"X": x, "Y": y})
+    assert not verify_witness(s, {"X": y, "Y": x})
+
+
 def _two_sided(system, assignment):
     """The reference check: both sides of every equation evaluated and compared."""
     spec = system.spec
