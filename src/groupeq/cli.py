@@ -10,7 +10,6 @@ rather than mistaken for a verdict).
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -30,15 +29,18 @@ EXIT_SOFTWARE = 70
 _STATUS_EXIT = {"sat": EXIT_SAT, "unsat": EXIT_UNSAT, "unknown": EXIT_UNKNOWN}
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad usage, which collides with "unknown"
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+def _make_parser():
+    # imported here, for ``main`` only: library users and the benchmark
+    # worker never load argparse and gettext
+    import argparse
 
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with 2 on bad usage, which collides with "unknown"
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
 
-def _make_parser() -> _Parser:
     p = _Parser(
         prog="groupeq",
         description="Decide systems of word equations over BS(1,k) and "

@@ -3,11 +3,12 @@
 The input system is reduced to component form, case-split into finitely many
 triangular branches, and every branch is attacked from two sides at once:
 
-* a witness search proposes assignments (lifted from branch solutions, then
-  drawn from growing balls) and checks them with exact group arithmetic.  A
-  wreath lift solves each pivot row coef * X = -rest for its unknown by
-  exact division in Z[t, t^-1] or Z_n[t, t^-1]: a root X^n = w is lifted
-  when 1 + t^x + ... + t^((n-1)x) divides the lamps of w;
+* a witness search proposes assignments (lifted from branch solutions, the
+  plain ones as the case split yields their branch, then drawn from growing
+  balls) and checks them with exact group arithmetic.  A wreath lift solves
+  each pivot row coef * X = -rest for its unknown by exact division in
+  Z[t, t^-1] or Z_n[t, t^-1]: a root X^n = w is lifted when
+  1 + t^x + ... + t^((n-1)x) divides the lamps of w;
 * an obstruction search refines joint residue constraints over a growing
   chain of moduli, and an empty refinement level refutes the whole branch.
 
@@ -206,15 +207,18 @@ def _residual_solutions(kind, k, part: Part) -> list:
     return grouping_solve(eqs, part.mod)
 
 
-def _build(system: EquationSystem, deadline=None, branch_cap=BRANCH_CAP) -> Build:
-    """Case analysis over the reduced system.
+def _building(system: EquationSystem, deadline=None, branch_cap=BRANCH_CAP):
+    """Case analysis over the reduced system, as a stream of final branches.
 
-    Returns the surviving triangular branches plus the ones refuted on the
-    way.  A branch whose residual system has no solution is recorded with
-    only its residual rows; ``_refute_residuals`` certifies it when an unsat
-    verdict needs that.  Deterministic: a rebuild with a cap at least as
-    large reproduces the branches and recorded certificates of a build that
-    did not overflow verbatim.
+    Yields the ``Build`` it fills first, then each surviving triangular
+    branch as it is appended to ``build.finals``, breadth first.  Branches
+    refuted on the way go to ``build.refuted``; a branch whose residual
+    system has no solution is recorded with only its residual rows, and
+    ``_refute_residuals`` certifies it when an unsat verdict needs that.  A
+    consumer that stops early leaves a partial build; ``_build`` drains the
+    stream.  Deterministic: a rebuild with a cap at least as large
+    reproduces the branches and recorded certificates of a build that did
+    not overflow verbatim.
     """
     spec = system.spec
     if spec.kind == "bs":
@@ -232,10 +236,13 @@ def _build(system: EquationSystem, deadline=None, branch_cap=BRANCH_CAP) -> Buil
         start = [list(c.rows) for c in red.components]
         kind, k = "wreath", None
 
+    build = Build(kind, k, [], [], False, None)
     sol = solve_forms(lin, evars)
     if sol.status == "empty":
-        cert = _linear_infeasible("shared-linear", lin, evars, sol)
-        return Build(kind, k, [], [], False, cert)
+        build.linear_cert = _linear_infeasible("shared-linear", lin, evars, sol)
+        yield build
+        return
+    yield build
 
     varfs, params, _ = apply_solution(
         sol, evars, [AffineForm.var(v) for v in evars], "p0_"
@@ -243,18 +250,16 @@ def _build(system: EquationSystem, deadline=None, branch_cap=BRANCH_CAP) -> Buil
     varmap = dict(zip(evars, varfs))
     rows0 = [[r.substitute(varmap) for r in rows] for rows in start]
 
-    finals: list = []
-    refuted: list = []
-    overflow = False
+    finals, refuted = build.finals, build.refuted
     queue = deque([_State(rows0, varmap, list(params), [], "", 1)])
 
     while queue:
         if deadline is not None and time.monotonic() > deadline:
-            overflow = True
-            break
+            build.overflow = True
+            return
         if len(finals) + len(refuted) >= branch_cap:
-            overflow = True
-            break
+            build.overflow = True
+            return
         st = queue.popleft()
         if any(s.is_zero() for s in st.sides):
             refuted.append(
@@ -267,8 +272,8 @@ def _build(system: EquationSystem, deadline=None, branch_cap=BRANCH_CAP) -> Buil
                 for (_, mod), rows in zip(comp_info, st.comp_rows)
             ]
         except BranchOverflow:
-            overflow = True
-            break
+            build.overflow = True
+            return
         for combo in itertools.product(*tri_lists):
             path = st.path + "/t" + "+".join(tb.path or "-" for tb in combo)
             parts = [
@@ -276,8 +281,8 @@ def _build(system: EquationSystem, deadline=None, branch_cap=BRANCH_CAP) -> Buil
                 for (c, mod), tb in zip(comp_info, combo)
             ]
             if len(finals) + len(refuted) >= branch_cap:
-                overflow = True
-                break
+                build.overflow = True
+                return
 
             disjunctions = []
             dead = None
@@ -295,6 +300,7 @@ def _build(system: EquationSystem, deadline=None, branch_cap=BRANCH_CAP) -> Buil
 
             if not disjunctions:
                 finals.append(FinalBranch(path, parts, dict(st.varmap), list(st.params)))
+                yield finals[-1]
                 continue
 
             any_child = False
@@ -309,6 +315,7 @@ def _build(system: EquationSystem, deadline=None, branch_cap=BRANCH_CAP) -> Buil
                     finals.append(
                         FinalBranch(path, parts, dict(st.varmap), list(st.params))
                     )
+                    yield finals[-1]
                     any_child = done = True
                     break
                 _, params2, sub = apply_solution(psol, st.params, [], f"p{st.depth}_")
@@ -338,10 +345,24 @@ def _build(system: EquationSystem, deadline=None, branch_cap=BRANCH_CAP) -> Buil
                         st.params,
                     )
                 )
-        if overflow:
-            break
 
-    return Build(kind, k, finals, refuted, overflow, None)
+
+def _build(system: EquationSystem, deadline=None, branch_cap=BRANCH_CAP) -> Build:
+    """The whole case analysis: ``_building`` drained to its end."""
+    stream = _building(system, deadline, branch_cap)
+    build = next(stream)
+    for _ in stream:
+        pass
+    return build
+
+
+def _finals(build: Build, stream):
+    """``build.finals`` in order, advancing ``stream`` (the ``_building`` that
+    fills ``build``) only when every branch built so far has been taken."""
+    i = 0
+    while i < len(build.finals) or next(stream, None) is not None:
+        yield build.finals[i]
+        i += 1
 
 
 # ---------------------------------------------------------------------------
@@ -872,40 +893,63 @@ def _lift_wreath(system, final: FinalBranch, spec, env: dict):
     return out, non_monomial
 
 
-def _lift_candidates(system, build: Build):
-    """Assignments suggested by the surviving branches, small parameters first.
+def _monomial_pivots(final: FinalBranch, env: dict) -> bool:
+    """Whether every pivot coefficient of a wreath branch is one monomial at
+    env: exactly when ``_lift_wreath`` would report no ``non_monomial``
+    division, told without dividing."""
+    return all(
+        len(row.coeffs[u].eval_laurent(env)) == 1
+        for part in final.parts
+        for u, row in part.pivots
+    )
 
-    A wreath lift that divided by a coefficient other than a single monomial
-    (see ``_lift_wreath``) follows after every plain lift, so a system that
-    a plain lift decides keeps that witness.
+
+def _lifts(system, k, finals):
+    """Assignments suggested by the final branches, small parameters first.
+
+    ``finals`` may be a stream: the plain lifts of each branch are yielded
+    as soon as it arrives.  A wreath grid point whose pivot coefficients are
+    not all single monomials (``_monomial_pivots``) is only queued, and its
+    lift, a Laurent division, is made after the last branch.  Every plain
+    lift thus comes before every late one, so a system that a plain lift
+    decides keeps that witness.  A lift equal to an earlier one is skipped.
     """
     spec = system.spec
     seen = set()
-    out = []
     late = []
-    for final in build.finals:
+
+    def fresh(cand) -> bool:
+        if cand is None:
+            return False
+        key = frozenset(cand.items())
+        if key in seen:
+            return False
+        seen.add(key)
+        return True
+
+    for final in finals:
         nparams = len(final.params)
         if nparams == 0:
             grids = [()]
         elif nparams <= 4:
-            grids = list(itertools.product(range(3), repeat=nparams))
+            grids = itertools.product(range(3), repeat=nparams)
         else:
             grids = [(0,) * nparams]
         for grid in grids:
             env = dict(zip(final.params, grid))
             if spec.kind == "bs":
-                cand, non_monomial = _lift_bs(system, final, build.k, env), False
+                cand = _lift_bs(system, final, k, env)
+            elif _monomial_pivots(final, env):
+                cand, _ = _lift_wreath(system, final, spec, env)
             else:
-                cand, non_monomial = _lift_wreath(system, final, spec, env)
-            if cand is not None:
-                (late if non_monomial else out).append(cand)
-    uniq = []
-    for cand in out + late:
-        key = frozenset(cand.items())
-        if key not in seen:
-            seen.add(key)
-            uniq.append(cand)
-    return uniq
+                late.append((final, env))
+                continue
+            if fresh(cand):
+                yield cand
+    for final, env in late:
+        cand, _ = _lift_wreath(system, final, spec, env)
+        if fresh(cand):
+            yield cand
 
 
 def _witness_check(system):
@@ -968,14 +1012,16 @@ def _witness_check(system):
 
 
 class _WitnessSearch:
-    def __init__(self, system, build: Build | None, budget: Budget):
+    """Candidate assignments in order, each checked once: the lifted branch
+    solutions of ``lifts`` (an iterator, pulled only as far as the checks
+    go), then growing balls."""
+
+    def __init__(self, system, budget: Budget, lifts=()):
         self.system = system
         self.budget = budget
         self.check = _witness_check(system)
-        self.pending = deque()
-        if build is not None:
-            self.pending.extend(_lift_candidates(system, build))
-        self.gen = self._assignments()
+        self.lifts = iter(lifts)
+        self.gen = itertools.chain(self.lifts, self._assignments())
         self.checked = 0
         self.exhausted = False
 
@@ -1007,17 +1053,18 @@ class _WitnessSearch:
                 for combo in itertools.product(*[layer(s) for s in sizes]):
                     yield dict(zip(names, combo))
 
-    def step(self, cap: int):
-        n = 0
-        while n < cap:
-            if self.pending:
-                cand = self.pending.popleft()
-            else:
-                cand = next(self.gen, None)
-                if cand is None:
-                    self.exhausted = True
-                    return None
-            n += 1
+    def step(self, cap: int, deadline=None, lifted=False):
+        """Check up to cap more candidates (lifted ones only, if ``lifted``),
+        none once ``deadline`` has passed; returns the first that passes."""
+        source = self.lifts if lifted else self.gen
+        for _ in range(cap):
+            if deadline is not None and time.monotonic() > deadline:
+                break
+            cand = next(source, None)
+            if cand is None:
+                # the lifts running out leaves the balls still to come
+                self.exhausted = not lifted
+                break
             self.checked += 1
             if self.check(cand):
                 return cand
@@ -1034,7 +1081,7 @@ def _verified(system, witness: dict) -> dict:
 def enumerate_search(system: EquationSystem, budget: Budget | None = None):
     """Standalone witness enumeration; returns a verified assignment or None."""
     budget = budget or Budget()
-    search = _WitnessSearch(system, None, budget)
+    search = _WitnessSearch(system, budget)
     while not search.exhausted:
         w = search.step(budget.candidates_per_step)
         if w is not None:
@@ -1098,6 +1145,18 @@ def _decide_abelian_bs(system) -> Verdict:
 
 
 def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
+    """Decide ``system`` within ``budget``: sat with a witness, unsat with a
+    certificate, or unknown.
+
+    The build runs as a stream (``_building``), and round 1 opens while it
+    runs: each final branch's plain lifts are checked as it arrives, and the
+    first that passes returns at once, with the build counters of the
+    branches built so far.  Otherwise the build is finished, the late lifts
+    are divided and checked in turn, and the rounds go on with refinement
+    and ball enumeration.  Every candidate comes in the order of the whole
+    list of lifts, plain then late, so the witness does not depend on where
+    the build stopped.
+    """
     budget = budget or Budget()
     t0 = time.monotonic()
     deadline = t0 + budget.time_limit if budget.time_limit else None
@@ -1105,7 +1164,18 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
     if spec.kind == "bs" and spec.k == 1:
         return _decide_abelian_bs(system)
 
-    build = _build(system, deadline)
+    stream = _building(system, deadline)
+    build = next(stream)
+    p1 = _WitnessSearch(system, budget, _lifts(system, build.k, _finals(build, stream)))
+    # round 1 opens with the lifted branch solutions, the cheapest witnesses:
+    # each final branch's plain lifts are checked as soon as the build yields
+    # it, before refinement, against the round's shared candidate cap
+    w = None
+    if budget.steps > 0:
+        w = p1.step(budget.candidates_per_step, deadline, lifted=True)
+    if w is None:
+        for _ in stream:
+            pass
     stats: dict = {
         "branches": len(build.finals) + len(build.refuted),
         "final_branches": len(build.finals),
@@ -1113,9 +1183,12 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
         "coverage_complete": not build.overflow,
         "p1_steps": 0,
         "p2_levels": 0,
-        "candidates_checked": 0,
+        "candidates_checked": p1.checked,
         "rounds": 0,
     }
+    if w is not None:
+        stats["p1_steps"] = stats["rounds"] = 1
+        return Verdict("sat", witness=_verified(system, w), stats=stats)
     if build.linear_cert is not None:
         return Verdict(
             "unsat",
@@ -1151,7 +1224,6 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
         if build.refuted:
             return Verdict("unsat", certificate=unsat_cert(), stats=stats)
         # nothing reduced and nothing refuted: the empty assignment space
-    p1 = _WitnessSearch(system, build, budget)
 
     while stats["rounds"] < budget.steps:
         if deadline is not None and time.monotonic() > deadline:
@@ -1160,14 +1232,9 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
         first = stats["rounds"] == 1
         progressed = False
         cap = budget.candidates_per_step
-        if first and p1.pending:
-            # lifted branch solutions are the cheapest witnesses: check them
-            # before refinement, against the round's shared candidate cap
-            w = p1.step(min(cap, len(p1.pending)))
+        if first and p1.checked:
+            # the lifted candidates checked while the build ran
             stats["p1_steps"] += 1
-            stats["candidates_checked"] = p1.checked
-            if w is not None:
-                return Verdict("sat", witness=_verified(system, w), stats=stats)
             cap -= p1.checked
         # the first round gives refinement a head start: cheap early levels
         # often refute outright, skipping ball enumeration entirely
@@ -1184,7 +1251,7 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
             ):
                 return Verdict("unsat", certificate=unsat_cert(), stats=stats)
         if not p1.exhausted:
-            w = p1.step(cap)
+            w = p1.step(cap, deadline)
             if not (first and stats["p1_steps"]):
                 # a lifted check above already counted round 1's step
                 stats["p1_steps"] += 1

@@ -22,11 +22,20 @@ root is lifted.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
 
 from .groups import GroupSpec
+
+# CPython's builtin SHA-256 (``_sha2`` from 3.12, ``_sha256`` before): the
+# same digest as ``hashlib.sha256``, without loading OpenSSL's libcrypto
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]
@@ -197,4 +206,4 @@ def render_system(system: EquationSystem) -> str:
 
 
 def system_hash(system: EquationSystem) -> str:
-    return hashlib.sha256(render_system(system).encode("utf-8")).hexdigest()
+    return _sha256(render_system(system).encode("utf-8")).hexdigest()

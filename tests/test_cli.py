@@ -204,3 +204,15 @@ def test_internal_error_exits_70(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "internal error" in err and "RuntimeError" in err
+
+
+def test_import_loads_neither_openssl_nor_argparse():
+    """``import groupeq.cli`` is what a library user or the benchmark worker
+    pays: ``system_hash`` needs no OpenSSL, and only ``main`` parses flags."""
+    code = (
+        "import sys, groupeq.cli\n"
+        "print(sorted({'_hashlib', 'argparse', 'gettext'} & set(sys.modules)))"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

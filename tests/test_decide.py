@@ -3,7 +3,9 @@ import importlib
 import itertools
 import json
 import math
+import pathlib
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -12,11 +14,16 @@ from groupeq.decide import (
     _BsSearch,
     _WreathSearch,
     _build,
+    _building,
     _bs_layer,
     _cert_rows,
+    _finals,
     _laurent_div,
-    _lift_candidates,
+    _lift_bs,
+    _lift_wreath,
+    _lifts,
     _monics,
+    _monomial_pivots,
     _witness_check,
     _wreath_layer,
     build_report,
@@ -24,7 +31,7 @@ from groupeq.decide import (
     enumerate_search,
     verify_certificate,
 )
-from groupeq.frontend import parse_system, system_hash
+from groupeq.frontend import parse_system, render_system, system_hash
 from groupeq.groups import (
     GroupSpec,
     WreathElement,
@@ -359,7 +366,8 @@ def test_zero_lift_of_binomial_pivot():
     """A pivot with a non-monomial coefficient lifts to 0 when its row's rest
     vanishes; such a system used to wait for refinement and the balls."""
     system = parse_system("group wreath Z^0 x Z_3\nY t Z X^-1 = X^-1 Z t Y")
-    assert _lift_candidates(system, _build(system))
+    build = _build(system)
+    assert list(_lifts(system, build.k, build.finals))
     v = decide(system)
     assert v.status == "sat"
     assert _rendered(system, v.witness) == {"X": "{} | 0", "Y": "{} | 0", "Z": "{} | 0"}
@@ -499,7 +507,7 @@ def test_failing_lift_does_not_change_first_round_refutation(monkeypatch):
 
     lift = {name: parse_element(system.spec, "{} | 0") for name in system.variables}
     assert not verify_witness(system, lift)
-    monkeypatch.setattr(decide_mod, "_lift_candidates", lambda *args: [lift, lift])
+    monkeypatch.setattr(decide_mod, "_lifts", lambda *args: iter([lift, lift]))
     v = decide(system)
     assert v.status == "unsat"
     assert v.certificate == plain.certificate
@@ -507,6 +515,106 @@ def test_failing_lift_does_not_change_first_round_refutation(monkeypatch):
     assert v.stats["candidates_checked"] == v.stats["p1_steps"] + 1 == 2
     assert v.stats["rounds"] == 1
     assert v.stats["p2_levels"] == plain.stats["p2_levels"]
+
+
+def _lift_systems():
+    """The corpus systems, the ``commute`` and ``powers`` systems of
+    benchmark seeds 1 and 2, and systems whose lifts divide by a monomial in
+    one pivot row or component and by a binomial in another."""
+    root = pathlib.Path(__file__).resolve().parent
+    if str(root.parent / "perfbench") not in sys.path:
+        sys.path.insert(0, str(root.parent / "perfbench"))
+    import workloads  # the benchmark's generators, never modified
+
+    manifest = json.loads((root / "corpus" / "manifest.json").read_text())
+    texts = [(root / "corpus" / e["file"]).read_text() for e in manifest["instances"]]
+    for seed in (1, 2):
+        for name in ("commute", "powers"):
+            texts += [item.text for item in workloads.GENERATORS[name](seed)]
+    texts += [
+        "group wreath Z^1 x Z_2\nY^2 X^-2 = t^2",
+        "group wreath Z^1\nX^-2 = t^-2\nY = a1^-2",
+        "group wreath Z^1\nY^2 = t^-2\nt^-1 = Y^-1 X^-1",
+    ]
+    return [parse_system(text) for text in texts]
+
+
+def _grid_envs(final):
+    n = len(final.params)
+    grids = itertools.product(range(3), repeat=n) if n <= 4 else [(0,) * n]
+    return [dict(zip(final.params, grid)) for grid in grids]
+
+
+def _listed_lifts(system, build):
+    """The lifted candidates as one list, built as before the stream: every
+    grid point of every final branch lifted, plain lifts then late ones,
+    each lift once."""
+    plain, late = [], []
+    for final in build.finals:
+        for env in _grid_envs(final):
+            if build.kind == "bs":
+                cand, non_monomial = _lift_bs(system, final, build.k, env), False
+            else:
+                cand, non_monomial = _lift_wreath(system, final, system.spec, env)
+            if cand is not None:
+                (late if non_monomial else plain).append(cand)
+    seen, out = set(), []
+    for cand in plain + late:
+        key = frozenset(cand.items())
+        if key not in seen:
+            seen.add(key)
+            out.append(cand)
+    return out
+
+
+def test_lift_stream_yields_the_listed_lifts():
+    """Streamed from the build as ``decide`` streams it, the lifts come in
+    exactly the order and number of the list the whole build gives."""
+    late_seen = 0
+    for system in _lift_systems():
+        if system.spec.kind == "bs" and system.spec.k == 1:
+            continue
+        build = _build(system)
+        listed = _listed_lifts(system, build)
+        stream = _building(system)
+        partial = next(stream)
+        streamed = list(_lifts(system, partial.k, _finals(partial, stream)))
+        assert streamed == listed, render_system(system)
+        assert list(_lifts(system, build.k, build.finals)) == listed
+        assert len(partial.finals) == len(build.finals)
+        late_seen += any(
+            not _monomial_pivots(f, env)
+            for f in build.finals if build.kind == "wreath"
+            for env in _grid_envs(f)
+        )
+    assert late_seen >= 20
+
+
+def test_monomial_pretest_agrees_with_lift_division():
+    """``_monomial_pivots`` says, before any division, what ``_lift_wreath``
+    reports as ``non_monomial`` on every grid point that lifts."""
+    tally = {True: 0, False: 0}
+    for system in _lift_systems():
+        if system.spec.kind != "wreath":
+            continue
+        for final in _build(system).finals:
+            for env in _grid_envs(final):
+                cand, non_monomial = _lift_wreath(system, final, system.spec, env)
+                if cand is not None:
+                    assert non_monomial == (not _monomial_pivots(final, env))
+                    tally[non_monomial] += 1
+    assert tally[True] >= 20 and tally[False] >= 100, tally
+
+
+def test_plain_witness_in_first_branch_stops_the_build():
+    """A plain lift of the first final branch is the witness, so the build
+    stops there: the report counts one final branch of the two there are."""
+    system, v = _run("group BS 2\nY^2 b^-1 = a^-2 b^-1 a Y")
+    assert len(_build(system).finals) == 2
+    assert v.status == "sat"
+    assert _rendered(system, v.witness) == {"Y": "0 | 0"}
+    assert v.stats["final_branches"] == v.stats["branches"] == 1
+    assert v.stats["candidates_checked"] == v.stats["p1_steps"] == v.stats["rounds"] == 1
 
 
 def test_refinement_frontier_is_crt_consistent():
@@ -714,7 +822,8 @@ def test_witness_check_agrees_with_verify_witness():
             if not names:
                 continue
             planted = {x: planted[x] for x in names}
-            lifted = _lift_candidates(system, _build(system))
+            build = _build(system)
+            lifted = list(_lifts(system, build.k, build.finals))
             cands = [planted] + lifted
             for _ in range(5):
                 cands.append({x: rng.choice(balls) for x in names})

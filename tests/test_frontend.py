@@ -177,3 +177,28 @@ def test_parse_bounds_unit_letters_per_equation():
             parse_system(text)
         assert exc.value.line == 2
         assert "unit letters" in exc.value.message
+
+
+def test_system_hash_is_sha256_of_the_rendered_system():
+    """Certificates pin ``system_hash``: the builtin SHA-256 it uses gives
+    ``hashlib.sha256``'s digest on every corpus system and every ``commute``
+    and ``powers`` system of benchmark seed 1."""
+    import hashlib
+    import json
+    import pathlib
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parent
+    if str(root.parent / "perfbench") not in sys.path:
+        sys.path.insert(0, str(root.parent / "perfbench"))
+    import workloads  # the benchmark's generators, never modified
+
+    manifest = json.loads((root / "corpus" / "manifest.json").read_text())
+    texts = [(root / "corpus" / e["file"]).read_text() for e in manifest["instances"]]
+    texts += [item.text for name in ("commute", "powers")
+              for item in workloads.GENERATORS[name](1)]
+    assert len(texts) > 200
+    for text in texts:
+        system = parse_system(text)
+        want = hashlib.sha256(render_system(system).encode("utf-8")).hexdigest()
+        assert system_hash(system) == want, text
