@@ -12,7 +12,6 @@ from .decide import (
     Verdict,
     build_report,
     decide,
-    enumerate_search,
     verify_certificate,
 )
 from .frontend import EquationSystem, ParseError, parse_system, render_system, system_hash
@@ -33,7 +32,6 @@ __all__ = [
     "Budget",
     "Verdict",
     "decide",
-    "enumerate_search",
     "build_report",
     "verify_certificate",
     "EquationSystem",

@@ -54,7 +54,6 @@ def _make_parser():
     p.add_argument("--budget-steps", type=int, default=None, metavar="N")
     p.add_argument("--max-prime-power", type=int, default=None, metavar="Q")
     p.add_argument("--max-monic-degree", type=int, default=None, metavar="D")
-    p.add_argument("--radius", type=int, default=None, metavar="R")
     p.add_argument("--time-limit", type=float, default=None, metavar="S")
     p.add_argument("--format", choices=("human", "json"), default="human")
     p.add_argument(
@@ -88,8 +87,6 @@ def _budget(args) -> Budget:
         b.max_prime_power = args.max_prime_power
     if args.max_monic_degree is not None:
         b.max_monic_degree = args.max_monic_degree
-    if args.radius is not None:
-        b.radius = args.radius
     if args.time_limit is not None:
         b.time_limit = args.time_limit
     if b.steps <= 0 or b.max_prime_power <= 1 or b.max_monic_degree <= 0:

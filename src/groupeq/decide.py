@@ -3,12 +3,12 @@
 The input system is reduced to component form, case-split into finitely many
 triangular branches, and every branch is attacked from two sides at once:
 
-* a witness search proposes assignments (lifted from branch solutions, the
-  plain ones as the case split yields their branch, then drawn from growing
-  balls) and checks them with exact group arithmetic.  A wreath lift solves
-  each pivot row coef * X = -rest for its unknown by exact division in
-  Z[t, t^-1] or Z_n[t, t^-1]: a root X^n = w is lifted when
-  1 + t^x + ... + t^((n-1)x) divides the lamps of w;
+* a witness search checks assignments lifted from branch solutions with
+  exact group arithmetic.  A lift solves each pivot row coef * X = -rest
+  for its unknown X by exact division in Z[1/k], Z[t, t^-1] or
+  Z_n[t, t^-1]: a root X^n = w is lifted when 1 + t^x + ... + t^((n-1)x)
+  divides the lamps of w.  A retry solves a row that does not divide for an
+  unknown without a pivot, or for both by Bezout (Z[1/k], Z_p[t, t^-1]);
 * an obstruction search refines joint residue constraints over a growing
   chain of moduli, and an empty refinement level refutes the whole branch.
 
@@ -23,14 +23,15 @@ projection to Z_p[t] per round, primes ascending.
 
 Every Unsat verdict ships a certificate that can be replayed independently
 of the search that found it.  A ``Budget`` (``steps``, ``max_prime_power``,
-``max_monic_degree``, ``radius``, ``time_limit``, ``candidates_per_step``)
-and two fixed caps (``BRANCH_CAP`` case-split branches, ``NODE_CAP``
-refinement nodes per level) make each run terminate; running out of budget
-yields Unknown, never a wrong answer.
+``max_monic_degree``, ``time_limit``, ``candidates_per_step``) and two fixed
+caps (``BRANCH_CAP`` case-split branches, ``NODE_CAP`` refinement nodes per
+level) make each run terminate; running out of budget yields Unknown, never
+a wrong answer.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -49,7 +50,7 @@ from .groups import (
     power,
     verify_witness,
 )
-from .intlinalg import AffineForm, apply_solution
+from .intlinalg import AffineForm, apply_solution, solve_linear
 from .expsolve import SemenovSystem, semenov_solve, grouping_solve, solve_forms
 from .reduce import (
     BranchOverflow,
@@ -70,6 +71,8 @@ from .rings import (
     monic_enum,
     mult_order,
     poly_add,
+    poly_bezout,
+    poly_make,
     poly_mul,
     poly_reduce,
     poly_pow_t,
@@ -85,10 +88,9 @@ CERT_VERSION = 1
 # refinement rounds tried on a dead residual system before its certificate
 # falls back to the exact solver's emptiness record
 ATTEMPT_LEVELS = 10
-# case-split branches a build keeps before it marks its coverage incomplete
+# case-split branches a build keeps before it marks its coverage incomplete;
+# the rebuild that replays a certificate keeps as many
 BRANCH_CAP = 400
-# the rebuild that replays a certificate keeps up to this many branches
-REBUILD_BRANCH_CAP = 4096
 # refinement nodes kept per level; a level also stops after WORK_CAP
 # parameter extensions and residue picks
 NODE_CAP = 4000
@@ -99,8 +101,9 @@ WORK_CAP = 200 * NODE_CAP
 class Budget:
     """Resource limits; every field bounds one axis of the search.
 
-    Six fields: ``steps``, ``max_prime_power``, ``max_monic_degree``,
-    ``radius``, ``time_limit`` and ``candidates_per_step``.  Two caps are
+    Five fields: ``steps``, ``max_prime_power``, ``max_monic_degree``,
+    ``time_limit`` and ``candidates_per_step`` (lifted candidates checked
+    per round).  Two caps are
     constants rather than fields: a build keeps at most ``BRANCH_CAP``
     case-split branches, and a refinement level at most ``NODE_CAP`` nodes
     (and ``WORK_CAP`` units of work); certificate replay uses the same node
@@ -113,7 +116,6 @@ class Budget:
     steps: int = 48                  # scheduler rounds per procedure
     max_prime_power: int = 256       # largest modulus q = p^m tried
     max_monic_degree: int = 3        # largest polynomial modulus degree
-    radius: int = 6                  # witness enumeration ball bound
     time_limit: float | None = None
     candidates_per_step: int = 4000
 
@@ -207,7 +209,7 @@ def _residual_solutions(kind, k, part: Part) -> list:
     return grouping_solve(eqs, part.mod)
 
 
-def _building(system: EquationSystem, deadline=None, branch_cap=BRANCH_CAP):
+def _building(system: EquationSystem, deadline=None):
     """Case analysis over the reduced system, as a stream of final branches.
 
     Yields the ``Build`` it fills first, then each surviving triangular
@@ -216,9 +218,8 @@ def _building(system: EquationSystem, deadline=None, branch_cap=BRANCH_CAP):
     system has no solution is recorded with only its residual rows, and
     ``_refute_residuals`` certifies it when an unsat verdict needs that.  A
     consumer that stops early leaves a partial build; ``_build`` drains the
-    stream.  Deterministic: a rebuild with a cap at least as large
-    reproduces the branches and recorded certificates of a build that did
-    not overflow verbatim.
+    stream.  Deterministic: a rebuild reproduces the branches and recorded
+    certificates of a build that did not overflow verbatim.
     """
     spec = system.spec
     if spec.kind == "bs":
@@ -257,7 +258,7 @@ def _building(system: EquationSystem, deadline=None, branch_cap=BRANCH_CAP):
         if deadline is not None and time.monotonic() > deadline:
             build.overflow = True
             return
-        if len(finals) + len(refuted) >= branch_cap:
+        if len(finals) + len(refuted) >= BRANCH_CAP:
             build.overflow = True
             return
         st = queue.popleft()
@@ -268,7 +269,7 @@ def _building(system: EquationSystem, deadline=None, branch_cap=BRANCH_CAP):
             continue
         try:
             tri_lists = [
-                triangularize(rows, mod, branch_cap)
+                triangularize(rows, mod, BRANCH_CAP)
                 for (_, mod), rows in zip(comp_info, st.comp_rows)
             ]
         except BranchOverflow:
@@ -280,7 +281,7 @@ def _building(system: EquationSystem, deadline=None, branch_cap=BRANCH_CAP):
                 Part(c, mod, list(tb.pivots), list(tb.residuals))
                 for (c, mod), tb in zip(comp_info, combo)
             ]
-            if len(finals) + len(refuted) >= branch_cap:
+            if len(finals) + len(refuted) >= BRANCH_CAP:
                 build.overflow = True
                 return
 
@@ -347,9 +348,9 @@ def _building(system: EquationSystem, deadline=None, branch_cap=BRANCH_CAP):
                 )
 
 
-def _build(system: EquationSystem, deadline=None, branch_cap=BRANCH_CAP) -> Build:
+def _build(system: EquationSystem, deadline=None) -> Build:
     """The whole case analysis: ``_building`` drained to its end."""
-    stream = _building(system, deadline, branch_cap)
+    stream = _building(system, deadline)
     build = next(stream)
     for _ in stream:
         pass
@@ -716,57 +717,6 @@ def _refute_residuals(kind, k, parts, params, budget) -> dict:
 # Witness search
 
 
-def _bs_layer(k: int, s: int):
-    out = []
-    for num in range(-s, s + 1):
-        for depth in range(0, s - abs(num) + 1):
-            if depth > 0 and (k == 1 or num % k == 0):
-                continue
-            rest = s - abs(num) - depth
-            shifts = [0] if rest == 0 else [-rest, rest]
-            for r in shifts:
-                out.append(BsElement(ZkFrac.make(num, depth, k), r))
-    return out
-
-
-def _wreath_layer(spec, r: int, cap: int):
-    """The first cap elements of the radius-r ball outside the radius r-1 ball.
-
-    An element of the radius-r ball has its shift, its lamp positions and its
-    free lamp values in [-r, r], and its torsion values in [0, min(n-1, r)].
-    Elements come shift first, then the coefficients position by position,
-    each in product order over its components.
-    """
-    m, orders = spec.free_rank, spec.torsion
-    if r == 0:
-        return [WreathElement(LaurentPoly.zero(m, orders), 0)]
-    ranges = [range(-r, r + 1)] * m + [range(min(n - 1, r) + 1) for n in orders]
-    chunks = list(itertools.product(*ranges))
-    # per position, every coefficient as (poly item or None when zero,
-    # whether it puts the element outside the radius r-1 ball)
-    slots = []
-    for d in range(-r, r + 1):
-        opts = []
-        for ch in chunks:
-            if any(ch):
-                item = (d, RElem(ch[:m], ch[m:], orders))
-                opts.append((item, abs(d) == r or r in ch or -r in ch))
-            else:
-                opts.append((None, False))
-        slots.append(opts)
-    out = []
-    for x in range(-r, r + 1):
-        edge = abs(x) == r
-        for combo in itertools.product(*slots):
-            if not edge and not any(new for _, new in combo):
-                continue
-            items = tuple(item for item, _ in combo if item is not None)
-            out.append(WreathElement(LaurentPoly(items, m, orders), x))
-            if len(out) >= cap:
-                return out
-    return out
-
-
 def _div_exact(c: int, v: int, mod: int | None) -> int | None:
     if mod is None:
         return c // v if v and c % v == 0 else None
@@ -776,27 +726,6 @@ def _div_exact(c: int, v: int, mod: int | None) -> int | None:
     if c % g:
         return None
     return (c // g) * pow(v // g, -1, mod // g) % (mod // g)
-
-
-def _lift_bs(system, final: FinalBranch, k: int, env: dict):
-    assigned: dict[str, Fraction] = {}
-    part = final.parts[0]
-    for u, row in reversed(part.pivots):
-        coef = row.coeffs[u].eval_fraction(k, env)
-        if coef == 0:
-            return None
-        acc = row.const.eval_fraction(k, env)
-        for v, s in row.coeffs.items():
-            if v != u:
-                acc += s.eval_fraction(k, env) * assigned.get(v, Fraction(0))
-        assigned[u] = -acc / coef
-    out = {}
-    for name in system.variables:
-        uval = ZkFrac.from_fraction(assigned.get(name, Fraction(0)), k)
-        if uval is None:
-            return None
-        out[name] = BsElement(uval, final.varmap[rvar(name)].evaluate(env))
-    return out
 
 
 def _laurent_div(num: dict, den: dict, mod: int | None) -> dict | None:
@@ -844,34 +773,123 @@ def _laurent_div(num: dict, den: dict, mod: int | None) -> dict | None:
     return q
 
 
-def _lift_wreath(system, final: FinalBranch, spec, env: dict):
-    """Back-substitute the pivot rows of every part at the parameters env.
+def _back_substitute(pivots, ev, rest, divide, bezout, choice):
+    """The pivot rows of one part solved bottom up at one parameter point,
+    as {unknown: value}, or None.
 
-    Each pivot row coef * X + acc = 0 is solved for its unknown X by exact
-    Laurent division of -acc by coef (``_laurent_div``); a row with no
-    quotient leaves the branch without a lift at env.  Returns (assignment
-    or None, whether some pivot coefficient was not a single monomial).
+    A row coef * u + r = 0 gives u = ``divide(rest(row, u, assigned), coef)``,
+    where rest is -r with every unknown not in ``assigned`` at 0; ``ev``
+    evaluates an ``ExpSum``.  ``choice`` (v, pair) solves the first row that
+    does not divide once more, if v is in it, pivots no row and is read by
+    no row solved before: as v = -r / coef(v) with u at 0, or with ``pair``
+    as (u, v) = ``bezout(coef, coef(v), -r)`` where the ring has one.
     """
+    pivoted = {u for u, _ in pivots}
+    read: set = set()
+    assigned: dict = {}
+    for u, row in reversed(pivots):
+        coef, num = ev(row.coeffs[u]), rest(row, u, assigned)
+        q = divide(num, coef)
+        if q is None:
+            v, pair = choice or (None, False)
+            choice = None
+            if v not in row.coeffs or v in pivoted or v in read:
+                return None
+            cv = ev(row.coeffs[v])
+            solved = (bezout and bezout(coef, cv, num)) if pair else (None, divide(num, cv))
+            if not solved or solved[1] is None:
+                return None
+            q, assigned[v] = solved
+        if q is not None:
+            assigned[u] = q
+        read.update(row.coeffs)
+    return assigned
+
+
+def _zk_bezout(k: int, a: Fraction, b: Fraction, c: Fraction):
+    """(u, v) in Z[1/k] with a*u + b*v == c, or None.  Cleared of powers of k
+    (units), the row is solved over Z by ``solve_linear`` with c times e, the
+    part of gcd(a, b) made of primes of k, which finds a solution over
+    Z[1/k] whenever there is one, as (u/e, v/e)."""
+    d = math.lcm(a.denominator, b.denominator, c.denominator)
+    a, b, c = int(a * d), int(b * d), int(c * d)
+    e, rest = 1, math.gcd(a, b)
+    while rest > 1 and (f := math.gcd(rest, k)) > 1:
+        e, rest = e * f, rest // f
+    sol = solve_linear([[a, b]], [c * e])
+    return tuple(Fraction(x, e) for x in sol.particular) if sol.status == "ok" else None
+
+
+def _lift_bs(system, final: FinalBranch, k: int, env: dict, choice=None):
+    """``_back_substitute`` over Z[1/k] at the parameters env, or None."""
+
+    def ev(s: ExpSum) -> Fraction:
+        return s.eval_fraction(k, env)
+
+    def rest(row, u, assigned) -> Fraction:
+        known = [ev(s) * assigned[v] for v, s in row.coeffs.items() if v != u and v in assigned]
+        return -ev(row.const) - sum(known)
+
+    def divide(num: Fraction, coef: Fraction):
+        if coef and ZkFrac.from_fraction(q := num / coef, k) is not None:
+            return q
+        return None
+
+    bezout = functools.partial(_zk_bezout, k)
+    assigned = _back_substitute(final.parts[0].pivots, ev, rest, divide, bezout, choice)
+    if assigned is None:
+        return None
+    return {
+        name: BsElement(
+            ZkFrac.from_fraction(assigned.get(name, Fraction(0)), k),
+            final.varmap[rvar(name)].evaluate(env),
+        )
+        for name in system.variables
+    }
+
+
+def _laurent_bezout(p: int, a: dict, b: dict, c: dict):
+    """(u, v) with a*u + b*v == c over Z_p[t, t^-1], p prime, or None.  t is a
+    unit, so each {degree: coefficient} dict is shifted to a polynomial with
+    a nonzero constant term, where ``poly_bezout`` solves the pair."""
+    lows = [min(f, default=0) for f in (a, b, c)]
+    polys = [
+        poly_make([f.get(d, 0) for d in range(low, max(f, default=low - 1) + 1)], p)
+        for f, low in zip((a, b, c), lows)
+    ]
+    solved = poly_bezout(*polys, p)
+    if solved is None:
+        return None
+    return tuple({lows[2] - low + i: x for i, x in enumerate(f) if x} for low, f in zip(lows, solved))
+
+
+def _lift_wreath(system, final: FinalBranch, spec, env: dict, choice=None):
+    """``_back_substitute`` in every part at the parameters env, ``choice``
+    in each, or None: a row divides by exact Laurent division
+    (``_laurent_div``) over Z[t, t^-1] or Z_n[t, t^-1], and a pair is solved
+    by ``_laurent_bezout`` for prime n."""
+
+    def ev(s: ExpSum) -> dict:
+        return s.eval_laurent(env)
+
     per_comp: dict[tuple[str, int], dict[int, int]] = {}
-    non_monomial = False
     for part in final.parts:
-        assigned: dict[str, dict[int, int]] = {}
-        for u, row in reversed(part.pivots):
-            coef = row.coeffs[u].eval_laurent(env)
-            acc = dict(row.const.eval_laurent(env))
+        mod = part.mod
+
+        def rest(row, u, assigned) -> dict:
+            acc = dict(ev(row.const))
             for w, s in row.coeffs.items():
-                if w == u:
-                    continue
-                wpoly = assigned.get(w, {})
-                for dd, cc in s.eval_laurent(env).items():
-                    for dw, cw in wpoly.items():
-                        acc[dd + dw] = acc.get(dd + dw, 0) + cc * cw
-            non_monomial = non_monomial or len(coef) != 1
-            num = {d: -c for d, c in acc.items() if (c if part.mod is None else c % part.mod)}
-            res = _laurent_div(num, coef, part.mod)
-            if res is None:
-                return None, non_monomial
-            assigned[u] = res
+                if w != u and w in assigned:
+                    for dd, cc in ev(s).items():
+                        for dw, cw in assigned[w].items():
+                            acc[dd + dw] = acc.get(dd + dw, 0) + cc * cw
+            return {d: -c for d, c in acc.items() if (c if mod is None else c % mod)}
+
+        divide = functools.partial(_laurent_div, mod=mod)
+        bezout = functools.partial(_laurent_bezout, mod) if is_prime(mod) else None
+        assigned = _back_substitute(part.pivots, ev, rest, divide, bezout, choice)
+        if assigned is None:
+            return None
         for name in system.variables:
             per_comp[(name, part.component)] = assigned.get(name, {})
     m, orders = spec.free_rank, spec.torsion
@@ -890,42 +908,46 @@ def _lift_wreath(system, final: FinalBranch, spec, env: dict):
             tors = tuple(per_comp[(name, m + j)].get(d, 0) for j in range(len(orders)))
             items.append((d - y, RElem(free, tors, orders)))
         out[name] = WreathElement(LaurentPoly(tuple(items), m, orders), x)
-    return out, non_monomial
+    return out
 
 
-def _monomial_pivots(final: FinalBranch, env: dict) -> bool:
-    """Whether every pivot coefficient of a wreath branch is one monomial at
-    env: exactly when ``_lift_wreath`` would report no ``non_monomial``
-    division, told without dividing."""
-    return all(
-        len(row.coeffs[u].eval_laurent(env)) == 1
-        for part in final.parts
-        for u, row in part.pivots
-    )
+def _multi_term_pivots(final: FinalBranch) -> list:
+    """The pivot coefficients of a branch that are not one ExpSum term.  A
+    one-term coefficient is one monomial at every parameter point, so only
+    these are evaluated to tell a plain lift from a late one."""
+    return [row.coeffs[u] for part in final.parts for u, row in part.pivots
+            if len(row.coeffs[u].terms) != 1]
 
 
 def _lifts(system, k, finals):
     """Assignments suggested by the final branches, small parameters first.
 
     ``finals`` may be a stream: the plain lifts of each branch are yielded
-    as soon as it arrives.  A wreath grid point whose pivot coefficients are
-    not all single monomials (``_monomial_pivots``) is only queued, and its
-    lift, a Laurent division, is made after the last branch.  Every plain
-    lift thus comes before every late one, so a system that a plain lift
-    decides keeps that witness.  A lift equal to an earlier one is skipped.
+    as soon as it arrives.  A wreath grid point where a pivot coefficient is
+    not one monomial is only queued, and its lift, a Laurent division, is
+    made after the last branch.  Then every grid point that did not lift is
+    tried again with each choice (v, pair) of ``_back_substitute``, the
+    unknowns v in system order.  Each phase follows the one before, so a
+    system that an earlier phase decides keeps that witness.  A lift equal
+    to an earlier one is skipped.
     """
     spec = system.spec
     seen = set()
-    late = []
+    late, failed = [], []
 
-    def fresh(cand) -> bool:
+    def lift(final, env, choice=None):
+        if spec.kind == "bs":
+            cand = _lift_bs(system, final, k, env, choice)
+        else:
+            cand = _lift_wreath(system, final, spec, env, choice)
         if cand is None:
-            return False
+            if choice is None:
+                failed.append((final, env))
+            return
         key = frozenset(cand.items())
-        if key in seen:
-            return False
-        seen.add(key)
-        return True
+        if key not in seen:
+            seen.add(key)
+            yield cand
 
     for final in finals:
         nparams = len(final.params)
@@ -935,21 +957,18 @@ def _lifts(system, k, finals):
             grids = itertools.product(range(3), repeat=nparams)
         else:
             grids = [(0,) * nparams]
+        multi = _multi_term_pivots(final) if spec.kind == "wreath" else []
         for grid in grids:
             env = dict(zip(final.params, grid))
-            if spec.kind == "bs":
-                cand = _lift_bs(system, final, k, env)
-            elif _monomial_pivots(final, env):
-                cand, _ = _lift_wreath(system, final, spec, env)
+            if all(len(s.eval_laurent(env)) == 1 for s in multi):
+                yield from lift(final, env)
             else:
                 late.append((final, env))
-                continue
-            if fresh(cand):
-                yield cand
     for final, env in late:
-        cand, _ = _lift_wreath(system, final, spec, env)
-        if fresh(cand):
-            yield cand
+        yield from lift(final, env)
+    for final, env in failed:
+        for choice in itertools.product(system.variables, (False, True)):
+            yield from lift(final, env, choice)
 
 
 def _witness_check(system):
@@ -1012,58 +1031,24 @@ def _witness_check(system):
 
 
 class _WitnessSearch:
-    """Candidate assignments in order, each checked once: the lifted branch
-    solutions of ``lifts`` (an iterator, pulled only as far as the checks
-    go), then growing balls."""
+    """The lifted branch solutions of ``lifts`` (an iterator, pulled only as
+    far as the checks go), each checked once."""
 
-    def __init__(self, system, budget: Budget, lifts=()):
-        self.system = system
-        self.budget = budget
+    def __init__(self, system, lifts):
         self.check = _witness_check(system)
         self.lifts = iter(lifts)
-        self.gen = itertools.chain(self.lifts, self._assignments())
         self.checked = 0
         self.exhausted = False
 
-    def _layers(self):
-        spec = self.system.spec
-        cache: dict[int, list] = {}
-
-        def layer(s: int):
-            if s not in cache:
-                if spec.kind == "bs":
-                    cache[s] = _bs_layer(spec.k, s)
-                else:
-                    cache[s] = _wreath_layer(spec, s, self.budget.candidates_per_step * 4)
-            return cache[s]
-
-        return layer
-
-    def _assignments(self):
-        names = list(self.system.variables)
-        if not names:
-            yield {}
-            return
-        layer = self._layers()
-        radius = self.budget.radius
-        for total in range(0, radius * len(names) + 1):
-            for sizes in itertools.product(range(radius + 1), repeat=len(names)):
-                if sum(sizes) != total:
-                    continue
-                for combo in itertools.product(*[layer(s) for s in sizes]):
-                    yield dict(zip(names, combo))
-
-    def step(self, cap: int, deadline=None, lifted=False):
-        """Check up to cap more candidates (lifted ones only, if ``lifted``),
-        none once ``deadline`` has passed; returns the first that passes."""
-        source = self.lifts if lifted else self.gen
+    def step(self, cap: int, deadline=None):
+        """Check up to cap more candidates, none once ``deadline`` has
+        passed; returns the first that passes."""
         for _ in range(cap):
             if deadline is not None and time.monotonic() > deadline:
                 break
-            cand = next(source, None)
+            cand = next(self.lifts, None)
             if cand is None:
-                # the lifts running out leaves the balls still to come
-                self.exhausted = not lifted
+                self.exhausted = True
                 break
             self.checked += 1
             if self.check(cand):
@@ -1076,17 +1061,6 @@ def _verified(system, witness: dict) -> dict:
     if not verify_witness(system, witness):
         raise RuntimeError("witness accepted by the compiled check fails verify_witness")
     return witness
-
-
-def enumerate_search(system: EquationSystem, budget: Budget | None = None):
-    """Standalone witness enumeration; returns a verified assignment or None."""
-    budget = budget or Budget()
-    search = _WitnessSearch(system, budget)
-    while not search.exhausted:
-        w = search.step(budget.candidates_per_step)
-        if w is not None:
-            return _verified(system, w)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1152,10 +1126,11 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
     runs: each final branch's plain lifts are checked as it arrives, and the
     first that passes returns at once, with the build counters of the
     branches built so far.  Otherwise the build is finished, the late lifts
-    are divided and checked in turn, and the rounds go on with refinement
-    and ball enumeration.  Every candidate comes in the order of the whole
-    list of lifts, plain then late, so the witness does not depend on where
-    the build stopped.
+    and then the retries are divided and checked in turn, and the rounds go
+    on with refinement, each round also checking up to
+    ``candidates_per_step`` further lifts while any are left.  Every
+    candidate comes in the order of the whole list of lifts (``_lifts``), so
+    the witness does not depend on where the build stopped.
     """
     budget = budget or Budget()
     t0 = time.monotonic()
@@ -1166,13 +1141,13 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
 
     stream = _building(system, deadline)
     build = next(stream)
-    p1 = _WitnessSearch(system, budget, _lifts(system, build.k, _finals(build, stream)))
-    # round 1 opens with the lifted branch solutions, the cheapest witnesses:
-    # each final branch's plain lifts are checked as soon as the build yields
-    # it, before refinement, against the round's shared candidate cap
+    p1 = _WitnessSearch(system, _lifts(system, build.k, _finals(build, stream)))
+    # round 1's witness step checks the lifted branch solutions, the cheapest
+    # witnesses: each final branch's plain lifts as soon as the build yields
+    # it, before refinement, up to the round's ``candidates_per_step``
     w = None
     if budget.steps > 0:
-        w = p1.step(budget.candidates_per_step, deadline, lifted=True)
+        w = p1.step(budget.candidates_per_step, deadline)
     if w is None:
         for _ in stream:
             pass
@@ -1231,13 +1206,12 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
         stats["rounds"] += 1
         first = stats["rounds"] == 1
         progressed = False
-        cap = budget.candidates_per_step
         if first and p1.checked:
-            # the lifted candidates checked while the build ran
+            # round 1's witness step: the lifts checked while the build ran
             stats["p1_steps"] += 1
-            cap -= p1.checked
-        # the first round gives refinement a head start: cheap early levels
-        # often refute outright, skipping ball enumeration entirely
+        # the first round gives refinement a head start of two levels: cheap
+        # early levels often refute outright, and the extra level is part of
+        # which systems are refuted within ``steps`` rounds
         for _ in range(2 if first else 1):
             for _, man in managers:
                 if man.state == "running":
@@ -1250,11 +1224,9 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
                 and all(m.state == "refuted" for _, m in managers)
             ):
                 return Verdict("unsat", certificate=unsat_cert(), stats=stats)
-        if not p1.exhausted:
-            w = p1.step(cap, deadline)
-            if not (first and stats["p1_steps"]):
-                # a lifted check above already counted round 1's step
-                stats["p1_steps"] += 1
+        if not first and not p1.exhausted:
+            w = p1.step(budget.candidates_per_step, deadline)
+            stats["p1_steps"] += 1
             stats["candidates_checked"] = p1.checked
             if w is not None:
                 return Verdict("sat", witness=_verified(system, w), stats=stats)
@@ -1393,8 +1365,8 @@ def verify_certificate(cert: dict, system: EquationSystem) -> bool:
             return got == _linear_infeasible("abelian", forms, allvars, sol)
 
         # certificates are only issued when coverage was complete, so a
-        # rebuild under a larger branch cap reproduces the branches
-        build = _build(system, branch_cap=REBUILD_BRANCH_CAP)
+        # rebuild under the same branch cap reproduces the branches
+        build = _build(system)
         if kind == "linear_infeasible":
             return build.linear_cert is not None and got == build.linear_cert
         if build.linear_cert is not None or build.overflow:
@@ -1448,7 +1420,6 @@ def build_report(system: EquationSystem, verdict: Verdict, budget: Budget, secon
             "steps": budget.steps,
             "max_prime_power": budget.max_prime_power,
             "max_monic_degree": budget.max_monic_degree,
-            "radius": budget.radius,
             "time_limit": budget.time_limit,
         },
         "timing": {"seconds": round(seconds, 6)},

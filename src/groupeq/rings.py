@@ -294,6 +294,34 @@ def poly_reduce(f: tuple[int, ...], h: tuple[int, ...], n: int) -> tuple[int, ..
     return poly_trim(tuple(out))
 
 
+def poly_divmod(f: tuple[int, ...], g: tuple[int, ...], p: int):
+    """Quotient and remainder of f by g != 0 over Z_p, p prime."""
+    inv, rem = pow(g[-1], -1, p), [c % p for c in f]
+    quot = [0] * max(len(f) - len(g) + 1, 0)
+    for i in reversed(range(len(quot))):
+        quot[i] = c = rem[i + len(g) - 1] * inv % p
+        for j, cg in enumerate(g):
+            rem[i + j] = (rem[i + j] - c * cg) % p
+    return poly_trim(tuple(quot)), poly_trim(tuple(rem))
+
+
+def poly_bezout(a: tuple[int, ...], b: tuple[int, ...], c: tuple[int, ...], p: int):
+    """Polynomials (u, v) with a*u + b*v == c over Z_p, p prime, or None when
+    gcd(a, b) does not divide c: the extended Euclidean algorithm."""
+    # r == a*s + b*w for (r, s, w) and for (r1, s1, w1) throughout
+    (r, s, w), (r1, s1, w1) = (a, (1,), ()), (b, (), (1,))
+    while r1:
+        q, rem = poly_divmod(r, r1, p)
+        q = poly_scale(q, -1, p)
+        (r, s, w), (r1, s1, w1) = (r1, s1, w1), (
+            rem, poly_add(s, poly_mul(q, s1, p), p), poly_add(w, poly_mul(q, w1, p), p)
+        )
+    if not r:
+        return None if c else ((), ())
+    q, rem = poly_divmod(c, r, p)
+    return None if rem else (poly_mul(s, q, p), poly_mul(w, q, p))
+
+
 def poly_pow_t(e: int, h: tuple[int, ...], n: int) -> tuple[int, ...]:
     """t^e reduced mod (h, n) for e >= 0, by square and multiply."""
     result = poly_reduce((1,), h, n)

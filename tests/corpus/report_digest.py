@@ -21,24 +21,48 @@ the function ``--verify-only`` prints, joined by ``; ``:
     diff parent.txt change.txt
     diff <(cut -d' ' -f1,3 parent.txt) <(cut -d' ' -f1,3 change.txt)
 
+``--random FIRST-LAST`` appends the same lines for a random sample, named
+``random:seed:i``: for each seed s in FIRST..LAST, one ``random.Random(s)``
+draws systems with ``tests/test_acceptance.py`` ``_rand_group_system`` over
+the families of ``RANDOM_FAMILIES`` in order, ``RANDOM_PER_FAMILY`` systems
+with unknowns per family, each decided under ``RANDOM_BUDGET``.
+
 The ``groupeq`` package is whichever one ``PYTHONPATH`` names; it needs
 ``groupeq.cli.verify_lines``, so a checkout older than that function is
 digested with its own copy of this script.
 """
 
+import argparse
 import hashlib
+import itertools
 import json
 import pathlib
+import random
 import sys
 
 from groupeq.cli import verify_lines
 from groupeq.decide import Budget, build_report, decide
-from groupeq.frontend import parse_system
+from groupeq.frontend import parse_system, render_system
 
 CORPUS = pathlib.Path(__file__).parent
 sys.path.insert(0, str(CORPUS.parent.parent / "perfbench"))
 import workloads  # noqa: E402
 from run import _tamper  # noqa: E402
+
+sys.path.insert(0, str(CORPUS.parent))
+from test_acceptance import _rand_group_system  # noqa: E402
+
+RANDOM_FAMILIES = [
+    "group BS 2",
+    "group BS 3",
+    "group wreath Z^0 x Z_2",
+    "group wreath Z^0 x Z_3",
+    "group wreath Z^1",
+    "group wreath Z^1 x Z_2",
+    "group wreath Z^2",
+]
+RANDOM_PER_FAMILY = 60
+RANDOM_BUDGET = {"steps": 4, "candidates_per_step": 500}
 
 
 def _sha(obj) -> str:
@@ -73,8 +97,37 @@ def inputs(seeds):
                 yield f"{workload}:{seed}:{i}", item.text, budget
 
 
+def random_inputs(first, last):
+    budget = Budget(**RANDOM_BUDGET)
+    for seed in range(first, last + 1):
+        rng = random.Random(seed)
+        i = 0
+        for head in RANDOM_FAMILIES:
+            spec = parse_system(head).spec
+            drawn = 0
+            while drawn < RANDOM_PER_FAMILY:
+                system = _rand_group_system(rng, head, spec)
+                if system.variables:
+                    yield f"random:{seed}:{i}", render_system(system), budget
+                    drawn += 1
+                    i += 1
+
+
+def _seed_range(text):
+    first, _, last = text.partition("-")
+    return int(first), int(last or first)
+
+
 def main(argv) -> None:
-    for name, text, budget in inputs([int(a) for a in argv]):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("seeds", nargs="*", type=int, help="benchmark workload seeds")
+    parser.add_argument("--random", type=_seed_range, metavar="FIRST-LAST",
+                        help="append the random sample of these seeds")
+    args = parser.parse_args(argv)
+    items = inputs(args.seeds)
+    if args.random is not None:
+        items = itertools.chain(items, random_inputs(*args.random))
+    for name, text, budget in items:
         report, contract, verify = digest(text, budget)
         print(name, report, contract, flush=True)
         if verify is not None:

@@ -15,7 +15,6 @@ from groupeq.decide import (
     _WreathSearch,
     _build,
     _building,
-    _bs_layer,
     _cert_rows,
     _finals,
     _laurent_div,
@@ -23,18 +22,16 @@ from groupeq.decide import (
     _lift_wreath,
     _lifts,
     _monics,
-    _monomial_pivots,
+    _multi_term_pivots,
     _witness_check,
-    _wreath_layer,
+    _zk_bezout,
     build_report,
     decide,
-    enumerate_search,
     verify_certificate,
 )
 from groupeq.frontend import parse_system, render_system, system_hash
 from groupeq.groups import (
     GroupSpec,
-    WreathElement,
     eval_word,
     inv,
     mul,
@@ -42,10 +39,10 @@ from groupeq.groups import (
     render_element,
     verify_witness,
 )
+from groupeq.oracle import ball_elements
 from groupeq.reduce import reduce_bs, triangularize
 from groupeq.rings import (
-    LaurentPoly,
-    RElem,
+    ZkFrac,
     mult_order,
     poly_add,
     poly_mul,
@@ -158,21 +155,6 @@ def test_two_branch_refutation_shape():
     assert got == [("/tn.", "modulus_obstruction"), ("/tz", "modulus_obstruction")]
     assert all(e["cert"]["chain"] == [3] for e in cert["branches"])
     assert verify_certificate(cert, system)
-
-
-def test_enumerate_search_examples():
-    system = parse_system("group BS 2\nX^2 = a^3")
-    w = enumerate_search(system, Budget(radius=4))
-    assert w is not None
-    assert verify_witness(system, w)
-
-    system = parse_system("group BS 2\nX = 1")
-    w = enumerate_search(system, Budget(radius=0))
-    assert w is not None and w["X"].r == 0 and w["X"].u.num == 0
-
-    system = parse_system("group wreath Z^0 x Z_2\nX a = a X")
-    w = enumerate_search(system, Budget(radius=1))
-    assert w is not None and verify_witness(system, w)
 
 
 def test_verify_rejects_foreign_system():
@@ -301,25 +283,27 @@ def test_tampered_certificates_fail():
 
 
 def test_interleaving_both_searches_progress():
-    """With refinement capped out, enumeration still gets a step every round."""
+    """With refinement capped out and no lift left (3X = 2 has none), the
+    rounds stop: the two mod-2 levels of round 1 are all there is to do."""
     system = parse_system("group wreath Z^1\nX^3 = a^2")
     v = decide(system, Budget(max_prime_power=2, max_monic_degree=1, steps=4))
     assert v.status == "unknown"
-    assert v.stats["rounds"] == 4
-    assert v.stats["p1_steps"] == 4
-    # refinement exhausted its two mod-2 levels during the first round
+    assert v.stats["candidates_checked"] == v.stats["p1_steps"] == 0
     assert v.stats["p2_levels"] == 2
+    assert v.stats["rounds"] == 2
     frontier = v.stats["frontier"]
     assert frontier[0]["searches"][0]["state"] == "exhausted"
 
 
 def test_interleaving_refinement_keeps_stepping():
+    """Refinement gets a level every round after the lifts have run out."""
     system = parse_system("group wreath Z^1\nX^3 = a^2")
     v = decide(system, Budget(max_prime_power=2, steps=4))
     assert v.status == "unknown"
+    assert v.stats["candidates_checked"] == v.stats["p1_steps"] == 0
     # two warmup levels in round one, then one per round
+    assert v.stats["rounds"] == 4
     assert v.stats["p2_levels"] == 2 + (v.stats["rounds"] - 1)
-    assert v.stats["p1_steps"] == v.stats["rounds"] == 4
 
 
 def test_frontier_lists_each_prime_projection():
@@ -517,10 +501,24 @@ def test_failing_lift_does_not_change_first_round_refutation(monkeypatch):
     assert v.stats["p2_levels"] == plain.stats["p2_levels"]
 
 
+# systems that only a retry lift decides: a free unknown's division (the
+# first three), a Bezout pair over Z[1/k] (at p0_0 = 0 the pivot row of the
+# fourth is -7X - (3/2)Y = 4) and over Z_3[t, t^-1] (the last)
+RETRY_SYSTEMS = [
+    "group BS 3\na^-1 Y^-1 X = X^-1 b^-1 Y^-2",
+    "group wreath Z^1\na^-1 a^2 X^2 = Y^-1 X^-1 Y^2",
+    "group wreath Z^1 x Z_2\nY^-1 X^-1 Y^2 = a1 X^2",
+    "group BS 2\nX^-2 a^-1 b = X Y^2",
+    "group BS 3\nX^-2 b^-1 Y^-2 = a^-1 X",
+    "group wreath Z^0 x Z_3\nc1^-2 Y^-1 t^-1 = X^-2 Y^2",
+]
+
+
 def _lift_systems():
     """The corpus systems, the ``commute`` and ``powers`` systems of
-    benchmark seeds 1 and 2, and systems whose lifts divide by a monomial in
-    one pivot row or component and by a binomial in another."""
+    benchmark seeds 1 and 2, systems whose lifts divide by a monomial in
+    one pivot row or component and by a binomial in another, and
+    ``RETRY_SYSTEMS``."""
     root = pathlib.Path(__file__).resolve().parent
     if str(root.parent / "perfbench") not in sys.path:
         sys.path.insert(0, str(root.parent / "perfbench"))
@@ -536,7 +534,7 @@ def _lift_systems():
         "group wreath Z^1\nX^-2 = t^-2\nY = a1^-2",
         "group wreath Z^1\nY^2 = t^-2\nt^-1 = Y^-1 X^-1",
     ]
-    return [parse_system(text) for text in texts]
+    return [parse_system(text) for text in texts + RETRY_SYSTEMS]
 
 
 def _grid_envs(final):
@@ -545,21 +543,44 @@ def _grid_envs(final):
     return [dict(zip(final.params, grid)) for grid in grids]
 
 
-def _listed_lifts(system, build):
+def _every_pivot_monomial(final, env):
+    """Whether every pivot coefficient of a wreath branch evaluates to one
+    monomial at env, each of them evaluated."""
+    return all(
+        len(row.coeffs[u].eval_laurent(env)) == 1
+        for part in final.parts
+        for u, row in part.pivots
+    )
+
+
+def _listed_lifts(system, build, retry=True):
     """The lifted candidates as one list, built as before the stream: every
     grid point of every final branch lifted, plain lifts then late ones,
-    each lift once."""
-    plain, late = [], []
+    then (with ``retry``) every grid point that did not lift tried again
+    with each choice, each lift once."""
+    plain, late, failed = [], [], {True: [], False: []}
     for final in build.finals:
         for env in _grid_envs(final):
             if build.kind == "bs":
-                cand, non_monomial = _lift_bs(system, final, build.k, env), False
+                cand, monomial = _lift_bs(system, final, build.k, env), True
             else:
-                cand, non_monomial = _lift_wreath(system, final, system.spec, env)
-            if cand is not None:
-                (late if non_monomial else plain).append(cand)
+                cand = _lift_wreath(system, final, system.spec, env)
+                monomial = _every_pivot_monomial(final, env)
+            if cand is None:
+                failed[monomial].append((final, env))
+            else:
+                (plain if monomial else late).append(cand)
+    retried = []
+    for final, env in failed[True] + failed[False] if retry else ():
+        for choice in itertools.product(system.variables, (False, True)):
+            if build.kind == "bs":
+                retried.append(_lift_bs(system, final, build.k, env, choice))
+            else:
+                retried.append(_lift_wreath(system, final, system.spec, env, choice))
     seen, out = set(), []
-    for cand in plain + late:
+    for cand in plain + late + retried:
+        if cand is None:
+            continue
         key = frozenset(cand.items())
         if key not in seen:
             seen.add(key)
@@ -570,7 +591,7 @@ def _listed_lifts(system, build):
 def test_lift_stream_yields_the_listed_lifts():
     """Streamed from the build as ``decide`` streams it, the lifts come in
     exactly the order and number of the list the whole build gives."""
-    late_seen = 0
+    late_seen = retried = 0
     for system in _lift_systems():
         if system.spec.kind == "bs" and system.spec.k == 1:
             continue
@@ -583,27 +604,69 @@ def test_lift_stream_yields_the_listed_lifts():
         assert list(_lifts(system, build.k, build.finals)) == listed
         assert len(partial.finals) == len(build.finals)
         late_seen += any(
-            not _monomial_pivots(f, env)
+            not _every_pivot_monomial(f, env)
             for f in build.finals if build.kind == "wreath"
             for env in _grid_envs(f)
         )
+        retried += len(listed) > len(_listed_lifts(system, build, retry=False))
     assert late_seen >= 20
+    assert retried >= len(RETRY_SYSTEMS)
 
 
 def test_monomial_pretest_agrees_with_lift_division():
-    """``_monomial_pivots`` says, before any division, what ``_lift_wreath``
-    reports as ``non_monomial`` on every grid point that lifts."""
+    """The multi-term pivot coefficients of a branch, evaluated at a grid
+    point as ``_lifts`` does, tell whether every division of the branch's
+    lift there is by a monomial, as evaluating every pivot coefficient does."""
     tally = {True: 0, False: 0}
     for system in _lift_systems():
         if system.spec.kind != "wreath":
             continue
         for final in _build(system).finals:
+            multi = _multi_term_pivots(final)
             for env in _grid_envs(final):
-                cand, non_monomial = _lift_wreath(system, final, system.spec, env)
-                if cand is not None:
-                    assert non_monomial == (not _monomial_pivots(final, env))
-                    tally[non_monomial] += 1
-    assert tally[True] >= 20 and tally[False] >= 100, tally
+                monomial = _every_pivot_monomial(final, env)
+                assert all(len(s.eval_laurent(env)) == 1 for s in multi) == monomial
+                tally[monomial] += 1
+    assert tally[True] >= 100 and tally[False] >= 20, tally
+
+
+def test_retry_lifts_decide_what_no_plain_lift_does():
+    """No grid point of a ``RETRY_SYSTEMS`` system lifts as it is; a retry
+    lift is sat at the ``powers`` budget, with a witness that verifies."""
+    budget = Budget(steps=4, candidates_per_step=500)
+    for text in RETRY_SYSTEMS:
+        system, v = _run(text, budget)
+        build = _build(system)
+        assert not _listed_lifts(system, build, retry=False), text
+        assert v.status == "sat", text
+        assert verify_witness(system, v.witness), text
+        assert v.witness in _listed_lifts(system, build), text
+
+
+def test_zk_bezout_against_brute_force():
+    """``_zk_bezout`` solves a*u + b*v == c in Z[1/k] whenever a search of a
+    box of Z[1/k] finds a solution, and what it returns is one."""
+    rng = random.Random(16)
+    tally = {"solved": 0, "none": 0, "boxed": 0}
+    for k in (2, 3, 6):
+        box = {Fraction(n, k**d) for n in range(-8, 9) for d in range(3)}
+
+        def rand_zk():
+            return Fraction(rng.randint(-9, 9), k ** rng.randint(0, 2))
+
+        for _ in range(200):
+            a, b, c = rand_zk(), rand_zk(), rand_zk()
+            products = {b * v for v in box}
+            boxed = any(c - a * u in products for u in box)
+            got = _zk_bezout(k, a, b, c)
+            assert got is not None or not boxed, (k, a, b, c)
+            if got is not None:
+                u, v = got
+                assert a * u + b * v == c, (k, a, b, c, got)
+                assert all(ZkFrac.from_fraction(x, k) is not None for x in got)
+            tally["none" if got is None else "solved"] += 1
+            tally["boxed"] += boxed
+    assert min(tally.values()) >= 50, tally
 
 
 def test_plain_witness_in_first_branch_stops_the_build():
@@ -719,7 +782,7 @@ def test_reports_identical_modulo_timing():
 def test_budget_exhaustion_is_graceful():
     system = parse_system("group wreath Z^1\nX^3 = a^2")
     v = decide(system, Budget(steps=1, max_prime_power=2,
-                              max_monic_degree=1, candidates_per_step=5, radius=1))
+                              max_monic_degree=1, candidates_per_step=5))
     assert v.status == "unknown"
     assert v.witness is None and v.certificate is None
     assert v.stats["rounds"] == 1
@@ -776,8 +839,8 @@ def _shift(g):
 
 def test_witness_check_agrees_with_verify_witness():
     """The per-system compiled check accepts exactly the candidates that the
-    plain re-multiplication accepts: ball candidates, lifted branch
-    solutions, planted witnesses, and planted witnesses whose lamps or u
+    plain re-multiplication accepts: elements of the oracle's radius-1
+    balls, lifted branch solutions, planted witnesses, and planted witnesses whose lamps or u
     were changed (shift kept) or whose shift was changed."""
     rng = random.Random(61)
     specs = [GroupSpec.bs(2), GroupSpec.bs(3)]
@@ -788,10 +851,7 @@ def test_witness_check_agrees_with_verify_witness():
         shift_gen = "b" if spec.kind == "bs" else "t"
         lamps = ["a"] if spec.kind == "bs" else _lamp_names(spec)
         gens = [shift_gen] + lamps
-        if spec.kind == "bs":
-            balls = [g for s in range(4) for g in _bs_layer(spec.k, s)]
-        else:
-            balls = [g for r in range(3) for g in _wreath_layer(spec, r, 40)]
+        balls = ball_elements(spec, 1)
 
         def rand_word(names, lo=1, hi=4):
             return [(rng.choice(names), rng.choice(exps)) for _ in range(rng.randint(lo, hi))]
@@ -853,44 +913,6 @@ def test_witness_check_agrees_with_verify_witness():
     assert tally["lifted"] >= 20, tally
 
 
-def _member(elem, r):
-    """Whether elem lies in the radius-r ball that ``_wreath_layer`` draws from."""
-    if abs(elem.shift) > r:
-        return False
-    for d, c in elem.poly.coeffs:
-        if abs(d) > r or any(abs(v) > r for v in c.free) or any(v > r for v in c.torsion):
-            return False
-    return True
-
-
-def _reference_layer(spec, r, cap):
-    """The layer as first written: every element made, then the r-1 ball dropped."""
-    m, orders = spec.free_rank, spec.torsion
-    if r == 0:
-        return [WreathElement(LaurentPoly.zero(m, orders), 0)]
-    positions = list(range(-r, r + 1))
-    ranges = []
-    for _ in positions:
-        ranges += [list(range(-r, r + 1))] * m
-        ranges += [list(range(0, min(n - 1, r) + 1)) for n in orders]
-    width = m + len(orders)
-    out = []
-    for x in range(-r, r + 1):
-        for flat in itertools.product(*ranges):
-            items = []
-            for i, d in enumerate(positions):
-                chunk = flat[i * width : (i + 1) * width]
-                if any(chunk):
-                    items.append((d, RElem.make(chunk[:m], chunk[m:], orders)))
-            elem = WreathElement(LaurentPoly.make(items, m, orders), x)
-            if _member(elem, r - 1):
-                continue
-            out.append(elem)
-            if len(out) >= cap:
-                return out
-    return out
-
-
 def test_long_constant_word_is_sat_and_verifies(tmp_path, capsys):
     from groupeq import cli
 
@@ -908,12 +930,3 @@ def test_long_constant_word_is_sat_and_verifies(tmp_path, capsys):
         assert cli.main(["--verify-only", str(rep)]) == cli.EXIT_SAT
         assert time.monotonic() - start < 5.0, n
         assert capsys.readouterr().out == "witness: ok\n"
-
-
-def test_wreath_layer_matches_reference():
-    for m, tors in WREATH_FAMILIES:
-        spec = GroupSpec.wreath(m, tors)
-        for r in range(4):
-            for cap in (7, 2000):
-                got = _wreath_layer(spec, r, cap)
-                assert got == _reference_layer(spec, r, cap), (spec, r, cap)

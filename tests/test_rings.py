@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from groupeq.rings import (
     ZkFrac,
     monic_enum,
     poly_add,
+    poly_bezout,
     mult_order,
     poly_make,
     poly_mul,
@@ -166,6 +168,28 @@ def test_laurent_ring_axioms():
         # shift distributes over addition
         s = rng.randint(-3, 3)
         assert (f + g).shift(s) == f.shift(s) + g.shift(s)
+
+
+def test_poly_bezout_against_brute_force():
+    """Over Z_2 and Z_3 with a, b, c of degree at most 2, ``poly_bezout``
+    returns a pair exactly when a*u + b*v == c has one of degree at most 2
+    (a solution, if any, has one there), and the pair solves it."""
+    rng = random.Random(16)
+    tally = {"solved": 0, "none": 0}
+    for p in (2, 3):
+        polys = sorted({poly_make(cs, p) for cs in itertools.product(range(p), repeat=3)})
+        for _ in range(150):
+            a, b, c = (rng.choice(polys) for _ in range(3))
+            reachable = {
+                poly_add(poly_mul(a, u, p), poly_mul(b, v, p), p) for u in polys for v in polys
+            }
+            got = poly_bezout(a, b, c, p)
+            assert (got is not None) == (c in reachable), (p, a, b, c, got)
+            if got is not None:
+                u, v = got
+                assert poly_add(poly_mul(a, u, p), poly_mul(b, v, p), p) == c
+            tally["none" if got is None else "solved"] += 1
+    assert min(tally.values()) >= 50, tally
 
 
 def test_zkfrac_arithmetic_matches_fractions():
