@@ -11,6 +11,7 @@ rather than mistaken for a verdict).
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 
@@ -80,17 +81,25 @@ def _read_text(path: str) -> str:
 
 
 def _budget(args) -> Budget:
+    """The default Budget with the flags given; a value out of its flag's
+    range exits 64 with one line on stderr naming the flag and the range."""
     b = Budget()
-    if args.budget_steps is not None:
-        b.steps = args.budget_steps
-    if args.max_prime_power is not None:
-        b.max_prime_power = args.max_prime_power
-    if args.max_monic_degree is not None:
-        b.max_monic_degree = args.max_monic_degree
-    if args.time_limit is not None:
-        b.time_limit = args.time_limit
-    if b.steps <= 0 or b.max_prime_power <= 1 or b.max_monic_degree <= 0:
-        raise SystemExit(EXIT_USAGE)
+    for flag, name, allowed, words in (
+        ("--budget-steps", "steps", lambda v: v >= 1, "an integer of at least 1"),
+        ("--max-prime-power", "max_prime_power", lambda v: v >= 2,
+         "an integer of at least 2"),
+        ("--max-monic-degree", "max_monic_degree", lambda v: v >= 1,
+         "an integer of at least 1"),
+        ("--time-limit", "time_limit", lambda v: 0 < v < math.inf,
+         "a positive finite number of seconds"),
+    ):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        if not allowed(value):
+            print(f"groupeq: {flag} must be {words}, got {value}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
+        setattr(b, name, value)
     return b
 
 

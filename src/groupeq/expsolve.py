@@ -35,23 +35,22 @@ Term = tuple[int, AffineForm]
 class SemenovSystem:
     """Conjunction of equations sum_j beta_j * k^(form_j) + C = 0.
 
-    nat lists variables constrained to be nonnegative; the rest range over Z.
-    The base k must be at least 2: for k = 1 every power is 1 and the
-    elimination bound ``delta_bound`` does not exist.
+    Every variable ranges over Z.  The base k must be at least 2: for k = 1
+    every power is 1 and the elimination bound ``delta_bound`` does not
+    exist.
     """
 
     equations: tuple[tuple[tuple[Term, ...], int], ...]
     k: int
-    nat: frozenset[str] = frozenset()
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError(f"SemenovSystem needs base k >= 2, got {self.k}")
 
     @staticmethod
-    def make(equations, k: int, nat=()) -> "SemenovSystem":
+    def make(equations, k: int) -> "SemenovSystem":
         eqs = tuple((tuple(terms), int(c)) for terms, c in equations)
-        return SemenovSystem(eqs, k, frozenset(nat))
+        return SemenovSystem(eqs, k)
 
     def variables(self) -> list[str]:
         out: set[str] = set()
@@ -265,13 +264,12 @@ def semenov_solve(sys: SemenovSystem) -> list[list[AffineForm]]:
     """Exact solution set of a k-power system as a union of linear systems."""
     k = sys.k
     variables = sys.variables()
-    split_vars = [v for v in variables if v not in sys.nat]
     systems: list[list[AffineForm]] = []
     seen: set[tuple[AffineForm, ...]] = set()
-    for mask in range(1 << len(split_vars)):
+    for mask in range(1 << len(variables)):
         env = {
             v: AffineForm.var(v, -1)
-            for i, v in enumerate(split_vars)
+            for i, v in enumerate(variables)
             if mask >> i & 1
         }
         hat: dict[AffineForm, int] = {}

@@ -223,7 +223,9 @@ def eval_word(spec: GroupSpec, word, assignment: dict):
 def verify_witness(system, assignment: dict) -> bool:
     """Check a candidate assignment against every equation of the system.
 
-    Exact arithmetic, no approximation.  system needs .spec and
+    The one witness check: ``decide`` accepts a candidate only when it
+    passes, and ``--verify-only`` runs it on a report's witness.  Exact
+    arithmetic, no approximation.  system needs .spec and
     .equations (pairs of words).  Each equation lhs = rhs is re-multiplied
     once, as the single word lhs rhs^-1 (rhs reversed, its exponents
     negated), and holds exactly when that word evaluates to the identity.

@@ -18,48 +18,8 @@ def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for kk in range(inner):
-            v = ai[kk]
-            if v:
-                bk = b[kk]
-                oi = out[i]
-                for j in range(cols):
-                    oi[j] += v * bk[j]
-    return out
-
-
 def mat_vec(a: Matrix, x: Sequence[int]) -> list[int]:
     return [sum(r[j] * x[j] for j in range(len(x))) for r in a]
-
-
-def det(a: Matrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +35,6 @@ class SnfResult:
     diag: list[int]
     rows: int
     cols: int
-
-    def d_matrix(self) -> Matrix:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for i, d in enumerate(self.diag):
-            out[i][i] = d
-        return out
 
 
 def smith_normal_form(a: Matrix) -> SnfResult:

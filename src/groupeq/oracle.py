@@ -109,20 +109,16 @@ def brute_force_exp(sys, box) -> list[dict]:
     """All integer points of the box solving every exponential equation.
 
     sys carries .equations (terms are (coefficient, exponent form) pairs
-    plus an additive constant), .k, and optionally .nat for variables
-    restricted to be nonnegative.  box is either one (lo, hi) pair used
-    for every variable or a mapping from variable name to such a pair.
+    plus an additive constant) and .k.  box is either one (lo, hi) pair
+    used for every variable or a mapping from variable name to such a pair.
     Each equation is tested exactly in integers: at a point whose smallest
     exponent is -s < 0 the equation is multiplied through by k^s, which
     makes every term an integer and keeps the zero set.
     """
     variables = sys.variables()
-    nat = getattr(sys, "nat", frozenset())
 
     def interval(v):
         lo, hi = box[v] if isinstance(box, dict) else box
-        if v in nat:
-            lo = max(lo, 0)
         return range(lo, hi + 1)
 
     k = sys.k

@@ -467,72 +467,3 @@ def triangularize(rows: list[Row], mod: int | None, branch_cap: int = 512) -> li
 
 class BranchOverflow(Exception):
     """Raised when the case-split tree exceeds its cap; caller degrades to Unknown."""
-
-
-# ---------------------------------------------------------------------------
-# Exact evaluation of reduced systems (soundness checks and tests)
-
-
-def wreath_coords(elem, n_components: int):
-    """Split a wreath element into (f per component, y, x) coordinates."""
-    poly, x = elem.poly, elem.shift
-    degs = poly.support()
-    y = max(0, -min(degs)) if degs else 0
-    comps = []
-    for c in range(n_components):
-        d = poly.component_dict(c)
-        comps.append({deg + y: v for deg, v in d.items()})
-    return comps, y, x
-
-
-def eval_bs_system(sys2: ExpLinSystem, assignment: dict) -> bool:
-    """Does a group assignment satisfy the reduced system?  Exact."""
-    renv = {rvar(v): g.r for v, g in assignment.items()}
-    for form in sys2.linear:
-        if form.evaluate(renv) != 0:
-            return False
-    for row in sys2.rows:
-        total = row.const.eval_fraction(sys2.k, renv)
-        for v, s in row.coeffs.items():
-            total += s.eval_fraction(sys2.k, renv) * assignment[v].u.as_fraction()
-        if total != 0:
-            return False
-    return True
-
-
-def eval_wreath_system(wsys: WreathSystem, assignment: dict) -> bool:
-    spec = wsys.spec
-    env: dict[str, int] = {}
-    fcomp: dict[str, list[dict[int, int]]] = {}
-    for v, g in assignment.items():
-        comps, y, x = wreath_coords(g, spec.n_components)
-        env[xvar(v)] = x
-        env[yvar(v)] = y
-        fcomp[v] = comps
-    for form in wsys.linear:
-        if form.evaluate(env) != 0:
-            return False
-    for comp in wsys.components:
-        for row in comp.rows:
-            acc: dict[int, int] = {}
-
-            def bump(d: int, v: int) -> None:
-                w = acc.get(d, 0) + v
-                if comp.mod is not None:
-                    w %= comp.mod
-                if w:
-                    acc[d] = w
-                else:
-                    acc.pop(d, None)
-
-            for d, v in row.const.eval_laurent(env).items():
-                bump(d, v)
-            for var, s in row.coeffs.items():
-                coefpoly = s.eval_laurent(env)
-                fpoly = fcomp[var][comp.component]
-                for d1, v1 in coefpoly.items():
-                    for d2, v2 in fpoly.items():
-                        bump(d1 + d2, v1 * v2)
-            if acc:
-                return False
-    return True

@@ -100,8 +100,6 @@ class ZkFrac:
                 g = math.gcd(den, k)
                 if g == 1:
                     return None
-                # strip one factor-of-k layer: multiply numerator side by k, den by k/g...
-                # simpler: den must divide k^depth for some depth
                 den //= g
                 depth += 1
         elif den > 1:

@@ -57,8 +57,25 @@ def test_oversized_equation_is_a_parse_error(tmp_path):
 def test_exit_code_usage():
     assert run([]).returncode == 64
     assert run(["a.eq", "b.eq"]).returncode == 64
-    assert run(["--budget-steps", "0", "-"], stdin=SAT).returncode == 64
     assert run(["--no-such-flag", "-"], stdin=SAT).returncode == 64
+    # a budget value out of range: one line naming the flag and its range
+    for flag, value, allowed in [
+        ("--budget-steps", "0", "at least 1"),
+        ("--max-prime-power", "1", "at least 2"),
+        ("--max-monic-degree", "0", "at least 1"),
+        ("--time-limit", "0", "positive finite"),
+        ("--time-limit", "-1", "positive finite"),
+        ("--time-limit", "nan", "positive finite"),
+        ("--time-limit", "inf", "positive finite"),
+    ]:
+        r = run(["--format", "json", flag, value, "-"], stdin=SAT)
+        assert r.returncode == 64, (flag, value)
+        assert r.stdout == ""
+        (line,) = r.stderr.splitlines()
+        assert flag in line and allowed in line, (flag, value, line)
+    r = run(["--format", "json", "--time-limit", "30", "-"], stdin=SAT)
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["budget"]["time_limit"] == 30.0
 
 
 def test_stdin_input():

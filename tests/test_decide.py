@@ -23,7 +23,6 @@ from groupeq.decide import (
     _lifts,
     _monics,
     _multi_term_pivots,
-    _witness_check,
     _zk_bezout,
     build_report,
     decide,
@@ -833,20 +832,17 @@ def _text(word):
     return " ".join(f"{n}^{e}" for n, e in word) or "1"
 
 
-def _shift(g):
-    return g.r if hasattr(g, "r") else g.shift
-
-
-def test_witness_check_agrees_with_verify_witness():
-    """The per-system compiled check accepts exactly the candidates that the
-    plain re-multiplication accepts: elements of the oracle's radius-1
-    balls, lifted branch solutions, planted witnesses, and planted witnesses whose lamps or u
-    were changed (shift kept) or whose shift was changed."""
+def test_every_lift_is_a_witness():
+    """Every assignment ``_lifts`` yields over a full build passes
+    ``verify_witness``.  ``decide`` passes over a lift that fails, so a lift
+    bug would otherwise show only as a lost sat verdict.  The systems are
+    random, most with the constant that makes a planted assignment solve
+    them."""
     rng = random.Random(61)
     specs = [GroupSpec.bs(2), GroupSpec.bs(3)]
     specs += [GroupSpec.wreath(m, t) for m, t in WREATH_FAMILIES]
     exps = [-3, -2, -1, 1, 2, 3]
-    tally = {"pairs": 0, "accepted": 0, "lifted": 0, "rejected_after_shift": 0}
+    tally = {"systems": 0, "lifted": 0}
     for spec in specs:
         shift_gen = "b" if spec.kind == "bs" else "t"
         lamps = ["a"] if spec.kind == "bs" else _lamp_names(spec)
@@ -855,10 +851,6 @@ def test_witness_check_agrees_with_verify_witness():
 
         def rand_word(names, lo=1, hi=4):
             return [(rng.choice(names), rng.choice(exps)) for _ in range(rng.randint(lo, hi))]
-
-        def lamp_at(d, v):
-            # a lamp value v at position d: shift 0, so shift forms still fit
-            return eval_word(spec, [(shift_gen, d), (rng.choice(lamps), v), (shift_gen, -d)], {})
 
         for _ in range(10):
             unknowns = ["X", "Y"][: rng.randint(1, 2)]
@@ -878,39 +870,36 @@ def test_witness_check_agrees_with_verify_witness():
                     rhs = rhs + _word_of(spec, gap)
                 lines.append(f"{_text(lhs)} = {_text(rhs)}")
             system = parse_system(spec.render() + "\n" + "\n".join(lines))
-            names = system.variables
-            if not names:
+            if not system.variables:
                 continue
-            planted = {x: planted[x] for x in names}
             build = _build(system)
-            lifted = list(_lifts(system, build.k, build.finals))
-            cands = [planted] + lifted
-            for _ in range(5):
-                cands.append({x: rng.choice(balls) for x in names})
-            for _ in range(4):
-                x = rng.choice(names)
-                bump = lamp_at(rng.randint(-2, 2), rng.choice(exps))
-                cands.append({**planted, x: mul(spec, planted[x], bump)})
-            x = rng.choice(names)
-            step = eval_word(spec, [(shift_gen, rng.choice(exps))], {})
-            cands.append({**planted, x: mul(spec, planted[x], step)})
-
-            check = _witness_check(system)
-            for cand in cands:
-                want = verify_witness(system, cand)
-                assert check(cand) == want, (system, cand)
-                shifts_fit = all(
-                    _shift(eval_word(spec, lhs, cand)) == _shift(eval_word(spec, rhs, cand))
-                    for lhs, rhs in system.equations
-                )
-                tally["pairs"] += 1
-                tally["accepted"] += want
-                tally["rejected_after_shift"] += shifts_fit and not want
-            tally["lifted"] += len(lifted)
-    assert tally["pairs"] >= 500, tally
-    assert tally["accepted"] >= 60, tally
-    assert tally["rejected_after_shift"] >= 100, tally
+            for cand in _lifts(system, build.k, build.finals):
+                assert verify_witness(system, cand), (render_system(system), cand)
+                tally["lifted"] += 1
+            tally["systems"] += 1
+    assert tally["systems"] >= 50, tally
     assert tally["lifted"] >= 20, tally
+
+
+def test_rejected_candidates_leave_a_sat_system_unknown(monkeypatch):
+    """``verify_witness`` is the only check on a candidate: when it rejects
+    every one, a sat system ends unknown, with no error, after exactly
+    ``candidates_checked`` calls."""
+    decide_mod = importlib.import_module("groupeq.decide")
+    budget = Budget(steps=4, candidates_per_step=500)
+    system, plain = _run("group wreath Z^1\nX Y = Y X", budget)
+    assert plain.status == "sat"
+
+    calls = []
+
+    def reject(system, assignment):
+        calls.append(assignment)
+        return False
+
+    monkeypatch.setattr(decide_mod, "verify_witness", reject)
+    v = decide(system, budget)
+    assert v.status == "unknown" and v.witness is None
+    assert len(calls) == v.stats["candidates_checked"] > 1
 
 
 def test_long_constant_word_is_sat_and_verifies(tmp_path, capsys):

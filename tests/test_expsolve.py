@@ -113,12 +113,6 @@ def test_semenov_multi_equation_conjunction():
     assert got == {(2, 1)}
 
 
-def test_semenov_respects_nat_restriction():
-    sys_ = SemenovSystem.make([([(4, _var("y"))], -1)], 2, nat=("y",))
-    # 4*2^y = 1 needs y = -2, barred when y ranges over N
-    assert semenov_solve(sys_) == []
-
-
 def test_grouping_paper_shaped_equation():
     """3t^(3-x1+x2) + 4t^(-2+x1) + 2t^(x3-2) + 1 = 0 over Z_5."""
     e1 = AffineForm.constant(3) - _var("x1") + _var("x2")

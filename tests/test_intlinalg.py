@@ -4,21 +4,20 @@ import random
 from groupeq.intlinalg import (
     AffineForm,
     apply_solution,
-    det,
     lattice_contains,
-    mat_mul,
     mat_vec,
     row_hnf,
     smith_normal_form,
     solve_linear,
 )
+from reference_models import d_matrix, det, mat_mul
 
 
 def test_snf_worked_example():
     res = smith_normal_form([[2, 4], [6, 8]])
     assert res.diag == [2, 4]
     d = mat_mul(mat_mul(res.u, [[2, 4], [6, 8]]), res.v)
-    assert d == res.d_matrix()
+    assert d == d_matrix(res)
 
 
 def test_snf_identity():
@@ -29,7 +28,7 @@ def test_snf_identity():
 def test_snf_zero_matrix():
     res = smith_normal_form([[0, 0]])
     assert res.diag == []
-    assert res.d_matrix() == [[0, 0]]
+    assert d_matrix(res) == [[0, 0]]
 
 
 def test_snf_random_properties():
@@ -41,7 +40,7 @@ def test_snf_random_properties():
         res = smith_normal_form(a)
         assert abs(det(res.u)) == 1
         assert abs(det(res.v)) == 1
-        assert mat_mul(mat_mul(res.u, a), res.v) == res.d_matrix()
+        assert mat_mul(mat_mul(res.u, a), res.v) == d_matrix(res)
         diag = res.diag
         assert all(d >= 0 for d in diag)
         for x, y in zip(diag, diag[1:]):

@@ -54,20 +54,12 @@ def test_exp_no_power_equals_three():
     assert brute_force_exp(sys_, (-8, 8)) == []
 
 
-def test_exp_nat_restriction_clips_box():
-    sys_ = SemenovSystem.make([([(4, AffineForm.var("y"))], -1)], 2, nat=("y",))
-    assert brute_force_exp(sys_, (-8, 8)) == []
-    free = SemenovSystem.make([([(4, AffineForm.var("y"))], -1)], 2)
-    assert [e["y"] for e in brute_force_exp(free, (-8, 8))] == [-2]
-
-
 def _rational_hits(sys_, lo, hi):
     """brute_force_exp's definition, evaluated term by term in Fraction."""
     names = sys_.variables()
     k = Fraction(sys_.k)
-    axes = [range(max(lo, 0) if n in sys_.nat else lo, hi + 1) for n in names]
     hits = []
-    for pt in itertools.product(*axes):
+    for pt in itertools.product(range(lo, hi + 1), repeat=len(names)):
         env = dict(zip(names, pt))
         if all(
             sum((c * k ** f.evaluate(env) for c, f in terms), Fraction(const)) == 0
@@ -92,27 +84,25 @@ def _planted_equation(rng, names, k, point):
 def test_exp_integer_scaling_matches_rational_evaluation():
     rng = random.Random(2024)
     lo, hi = -3, 3
-    two_eqs = with_nat = negative_hits = 0
+    two_eqs = negative_hits = 0
     for _ in range(60):
         k = rng.choice([2, 3, 5])
         names = ["y0", "y1", "y2"][: rng.randint(1, 3)]
-        nat = rng.sample(names, rng.randint(0, len(names)))
-        point = {n: rng.randint(0 if n in nat else lo, hi) for n in names}
+        point = {n: rng.randint(lo, hi) for n in names}
         eqs = [_planted_equation(rng, names, k, point) for _ in range(rng.randint(1, 2))]
         if rng.random() < 0.3:
             # an unplanted equation: usually no hits at all
             terms, const = eqs[-1]
             eqs[-1] = (terms, const + rng.choice([-1, 1]))
-        sys_ = SemenovSystem.make(eqs, k, nat=nat)
+        sys_ = SemenovSystem.make(eqs, k)
         got = brute_force_exp(sys_, (lo, hi))
         assert got == _rational_hits(sys_, lo, hi)
         two_eqs += len(eqs) == 2
-        with_nat += bool(nat)
         negative_hits += any(
             f.evaluate(env) < 0 for env in got for terms, _ in eqs for _, f in terms
         )
     # the sample exercises what the integer scaling has to get right
-    assert two_eqs and with_nat and negative_hits
+    assert two_eqs and negative_hits
 
 
 def test_ball_sizes_and_canonicality():

@@ -14,13 +14,11 @@ from groupeq.reduce import (
     Row,
     TriBranch,
     _branch_key,
-    eval_bs_system,
-    eval_wreath_system,
     reduce_bs,
     reduce_wreath,
     triangularize,
-    wreath_coords,
 )
+from reference_models import eval_bs_system, eval_wreath_system, wreath_coords
 
 
 def test_reduce_bs_identity_equation():
