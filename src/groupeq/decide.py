@@ -1,7 +1,9 @@
 """Decision procedure for word equation systems over the supported groups.
 
-The input system is reduced to component form, case-split into finitely many
-triangular branches, and every branch is attacked from two sides at once:
+The input system is reduced to component form and case-split into finitely
+many triangular branches; the build solves each distinct residual system
+exactly once per call, however many branches share it.  Every branch is
+attacked from two sides at once:
 
 * a witness search accepts an assignment lifted from branch solutions when
   ``groups.verify_witness`` does, the exact re-multiplication that
@@ -195,12 +197,19 @@ def _cert_rows(parts, kind, stage) -> list:
     return _render_rows(parts, kind)
 
 
-def _residual_solutions(kind, k, part: Part) -> list:
-    """The exact solver's disjunction for the residual rows of one part."""
-    eqs = [_residual_terms(s) for s in part.residuals]
+def _residual_key(part: Part) -> tuple:
+    """A part's ring and the terms of its residual rows, in row order: what
+    its residual disjunction depends on, for a fixed group."""
+    return part.mod, tuple(_residual_terms(s) for s in part.residuals)
+
+
+def _residual_solutions(kind, k, key) -> list:
+    """The exact solver's disjunction for the residual rows of one part,
+    given by its ``_residual_key``."""
+    mod, eqs = key
     if kind == "bs":
         return semenov_solve(SemenovSystem.make([(t, 0) for t in eqs], k))
-    return grouping_solve(eqs, part.mod)
+    return grouping_solve(eqs, mod)
 
 
 def _building(system: EquationSystem, deadline=None):
@@ -214,6 +223,12 @@ def _building(system: EquationSystem, deadline=None):
     consumer that stops early leaves a partial build; ``_build`` drains the
     stream.  Deterministic: a rebuild reproduces the branches and recorded
     certificates of a build that did not overflow verbatim.
+
+    Each distinct residual system (``_residual_key``) is solved once per
+    call, and its disjunction is shared by every branch that meets it; it is
+    only read.  The memo dies with the call: a cache across calls would
+    only pay off on a caller that repeats inputs, and a benchmark that
+    cycles through its inputs would then measure the cache.
     """
     spec = system.spec
     if spec.kind == "bs":
@@ -246,6 +261,7 @@ def _building(system: EquationSystem, deadline=None):
     rows0 = [[r.substitute(varmap) for r in rows] for rows in start]
 
     finals, refuted = build.finals, build.refuted
+    solved: dict = {}  # _residual_key -> disjunction, for this call only
     queue = deque([_State(rows0, varmap, list(params), [], "", 1)])
 
     while queue:
@@ -284,7 +300,10 @@ def _building(system: EquationSystem, deadline=None):
             for part in parts:
                 if not part.residuals:
                     continue
-                dis = _residual_solutions(kind, k, part)
+                key = _residual_key(part)
+                dis = solved.get(key)
+                if dis is None:
+                    dis = solved[key] = _residual_solutions(kind, k, key)
                 if not dis:
                     dead = Part(part.component, part.mod, [], part.residuals)
                     break
@@ -1033,20 +1052,37 @@ def _abelian_forms(system):
 
 
 def _decide_abelian_bs(system) -> Verdict:
-    """BS(1,1) is free abelian of rank 2; everything is one linear solve."""
+    """BS(1,1) is free abelian of rank 2; everything is one linear solve.
+
+    The stats hold ``decide``'s counters for a complete build of no
+    branches, and the one candidate, checked in round 1, when there is one.
+    """
     forms, allvars = _abelian_forms(system)
     sol = solve_forms(forms, allvars)
+    stats = {
+        "stage": "abelian",
+        "branches": 0,
+        "final_branches": 0,
+        "refuted_at_build": 0,
+        "coverage_complete": True,
+        "p1_steps": 0,
+        "p2_levels": 0,
+        "candidates_checked": 0,
+        "rounds": 0,
+    }
     if sol.status == "empty":
         cert = _wrap_cert(_linear_infeasible("abelian", forms, allvars, sol), system)
-        return Verdict("unsat", certificate=cert, stats={"stage": "abelian"})
+        return Verdict("unsat", certificate=cert, stats=stats)
     vals = dict(zip(allvars, sol.particular))
     witness = {
         name: BsElement(ZkFrac.integer(vals[name], 1), vals[rvar(name)])
         for name in system.variables
     }
+    stats["candidates_checked"] = stats["p1_steps"] = stats["rounds"] = 1
     if verify_witness(system, witness):
-        return Verdict("sat", witness=witness, stats={"stage": "abelian"})
-    return Verdict("unknown", stats={"stage": "abelian", "note": "lift failed"})
+        return Verdict("sat", witness=witness, stats=stats)
+    stats["note"] = "lift failed"
+    return Verdict("unknown", stats=stats)
 
 
 def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
@@ -1253,7 +1289,7 @@ def _check_obstruction(build: Build, parts, params, stage, cert: dict) -> bool:
     if list(inner.get("params", ())) != list(params):
         return False
     if inner.get("kind") == "empty_disjunction" and stage == "residual":
-        return not _residual_solutions(build.kind, build.k, part)
+        return not _residual_solutions(build.kind, build.k, _residual_key(part))
     if inner.get("kind") != "modulus_obstruction":
         return False
     return _replay(build.kind, build.k, part, params, inner)

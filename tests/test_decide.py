@@ -902,6 +902,98 @@ def test_rejected_candidates_leave_a_sat_system_unknown(monkeypatch):
     assert len(calls) == v.stats["candidates_checked"] > 1
 
 
+def test_bs1_stats_count_the_checked_candidate(monkeypatch, capsys):
+    """BS(1,1) is one linear solve, but its stats carry ``decide``'s
+    counters: a complete build of no branches, and the one candidate that
+    ``verify_witness`` checks on a sat system, in round 1."""
+    from groupeq import cli
+
+    decide_mod = importlib.import_module("groupeq.decide")
+    _, other = _run("group BS 2\nX^2 = a^3")
+    calls = []
+
+    def counting(system, assignment):
+        calls.append(assignment)
+        return verify_witness(system, assignment)
+
+    monkeypatch.setattr(decide_mod, "verify_witness", counting)
+    corpus = pathlib.Path(__file__).parent / "corpus"
+    for name, status, checked in [("bs1_square_even", "sat", 1), ("bs1_square_odd", "unsat", 0)]:
+        path = corpus / f"{name}.eq"
+        calls.clear()
+        v = decide(parse_system(path.read_text()))
+        assert v.status == status, name
+        assert set(other.stats) <= set(v.stats), name
+        assert len(calls) == v.stats["candidates_checked"] == checked, name
+        assert v.stats["stage"] == "abelian" and v.stats["coverage_complete"], name
+        assert v.stats["p1_steps"] == v.stats["rounds"] == checked, name
+        assert v.stats["branches"] == v.stats["final_branches"] == 0, name
+        assert v.stats["refuted_at_build"] == v.stats["p2_levels"] == 0, name
+        capsys.readouterr()
+        cli.main(["--format", "human", str(path)])
+        line = f"branches: 0  rounds: {checked}  candidates: {checked}"
+        assert line in capsys.readouterr().out.splitlines(), name
+
+
+def _record_residual_solves(monkeypatch):
+    """Wrap the exact solvers that ``decide`` calls; returns the list of
+    (ring, equations) keys they receive, in call order."""
+    decide_mod = importlib.import_module("groupeq.decide")
+    seen = []
+    grouping, semenov = decide_mod.grouping_solve, decide_mod.semenov_solve
+
+    def grouping_rec(equations, mod):
+        seen.append((mod, tuple(tuple(eq) for eq in equations)))
+        return grouping(equations, mod)
+
+    def semenov_rec(system):
+        seen.append((None, repr(system)))
+        return semenov(system)
+
+    monkeypatch.setattr(decide_mod, "grouping_solve", grouping_rec)
+    monkeypatch.setattr(decide_mod, "semenov_solve", semenov_rec)
+    return seen
+
+
+def test_each_residual_system_is_solved_once_per_call(monkeypatch):
+    """Branches that share a residual system share its solution within one
+    ``decide`` call (each system below meets 6 distinct residual systems,
+    34 and 24 times), and a second call solves again: nothing is cached
+    across calls."""
+    seen = _record_residual_solves(monkeypatch)
+    budget = Budget(steps=2)
+    for text, most in [
+        ("group wreath Z^2\nt Y X Z^-1 = Z^-1 X Y t", 6),
+        ("group wreath Z^1 x Z_2\nY X c1 Z^-1 = Z^-1 c1 X Y", 6),
+    ]:
+        system = parse_system(text)
+        runs = []
+        for _ in range(2):
+            seen.clear()
+            assert decide(system, budget).status == "sat", text
+            assert len(seen) == len(set(seen)), text
+            assert 0 < len(seen) <= most, text
+            runs.append(list(seen))
+        assert runs[0] == runs[1], text
+
+
+def test_certificate_replay_solves_each_residual_system_once(monkeypatch):
+    """A replay rebuilds through ``_building``, so it shares residual
+    solutions too; the certificate still verifies, and criterion 7's
+    tampered copies still fail."""
+    from test_acceptance import _cert_tampers
+
+    system, v = _run("group wreath Z^1 x Z_2\nY^-1 a1 Y^-1 = X^-2",
+                     Budget(steps=4, candidates_per_step=500))
+    assert v.status == "unsat"
+    seen = _record_residual_solves(monkeypatch)
+    assert verify_certificate(v.certificate, system)
+    # the rebuild meets 4 distinct residual systems, 8 times
+    assert 0 < len(seen) == len(set(seen)) <= 4
+    for bad in _cert_tampers(v.certificate):
+        assert not verify_certificate(bad, system), bad
+
+
 def test_long_constant_word_is_sat_and_verifies(tmp_path, capsys):
     from groupeq import cli
 
