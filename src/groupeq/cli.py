@@ -83,7 +83,7 @@ def _read_text(path: str) -> str:
 def _budget(args) -> Budget:
     """The default Budget with the flags given; a value out of its flag's
     range exits 64 with one line on stderr naming the flag and the range."""
-    b = Budget()
+    fields = {}
     for flag, name, allowed, words in (
         ("--budget-steps", "steps", lambda v: v >= 1, "an integer of at least 1"),
         ("--max-prime-power", "max_prime_power", lambda v: v >= 2,
@@ -99,8 +99,8 @@ def _budget(args) -> Budget:
         if not allowed(value):
             print(f"groupeq: {flag} must be {words}, got {value}", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
-        setattr(b, name, value)
-    return b
+        fields[name] = value
+    return Budget(**fields)
 
 
 def _debug_reduce(system, out):

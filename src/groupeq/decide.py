@@ -2,8 +2,9 @@
 
 The input system is reduced to component form and case-split into finitely
 many triangular branches; the build solves each distinct residual system
-exactly once per call, however many branches share it.  Every branch is
-attacked from two sides at once:
+exactly once per call, however many branches share it, and builds a child
+branch's state only when its queue pops it, side conditions first.  Every
+branch is attacked from two sides at once:
 
 * a witness search accepts an assignment lifted from branch solutions when
   ``groups.verify_witness`` does, the exact re-multiplication that
@@ -27,10 +28,10 @@ projection to Z_p[t] per round, primes ascending.
 
 Every Unsat verdict ships a certificate that can be replayed independently
 of the search that found it.  A ``Budget`` (``steps``, ``max_prime_power``,
-``max_monic_degree``, ``time_limit``, ``candidates_per_step``) and two fixed
-caps (``BRANCH_CAP`` case-split branches, ``NODE_CAP`` refinement nodes per
-level) make each run terminate; running out of budget yields Unknown, never
-a wrong answer.
+``max_monic_degree``, ``time_limit``, ``candidates_per_step``) and three
+fixed caps (``BRANCH_CAP`` case-split branches, ``NODE_CAP`` refinement
+nodes and ``WORK_CAP`` units of work per level) make each run terminate;
+running out of budget yields Unknown, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ import math
 import operator
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .frontend import EquationSystem, system_hash
 from .groups import BsElement, WreathElement, verify_witness
@@ -93,8 +94,7 @@ NODE_CAP = 4000
 WORK_CAP = 200 * NODE_CAP
 
 
-@dataclass
-class Budget:
+class Budget(NamedTuple):
     """Resource limits; every field bounds one axis of the search.
 
     Five fields: ``steps``, ``max_prime_power``, ``max_monic_degree``,
@@ -116,20 +116,18 @@ class Budget:
     candidates_per_step: int = 4000
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     status: str  # "sat" | "unsat" | "unknown"
     witness: dict | None = None
     certificate: dict | None = None
-    stats: dict = field(default_factory=dict)
+    stats: dict | None = None  # ``decide`` always fills it
 
 
 # ---------------------------------------------------------------------------
 # Branch construction
 
 
-@dataclass
-class Part:
+class Part(NamedTuple):
     """Rows of one coefficient component inside a branch (BS has one part)."""
 
     component: int            # -1 for BS
@@ -138,34 +136,33 @@ class Part:
     residuals: list
 
 
-@dataclass
-class FinalBranch:
+class FinalBranch(NamedTuple):
     path: str
     parts: list
     varmap: dict
     params: list
 
 
-@dataclass
-class Refuted:
+class Refuted(NamedTuple):
     path: str
     cert: dict | None  # None: a dead residual system, certified on demand
     parts: list
     params: list
 
 
-@dataclass
 class Build:
-    kind: str
-    k: int | None
-    finals: list
-    refuted: list
-    overflow: bool
-    linear_cert: dict | None
+    """The branches of one case analysis, filled as ``_building`` runs."""
+
+    def __init__(self, kind: str, k: int | None):
+        self.kind = kind
+        self.k = k
+        self.finals: list = []
+        self.refuted: list = []
+        self.overflow = False
+        self.linear_cert: dict | None = None
 
 
-@dataclass
-class _State:
+class _State(NamedTuple):
     comp_rows: list
     varmap: dict
     params: list
@@ -212,6 +209,25 @@ def _residual_solutions(kind, k, key) -> list:
     return grouping_solve(eqs, mod)
 
 
+def _child(parent: _State, psol, combo, path: str):
+    """The state below ``parent`` for one pick of its residual disjunctions,
+    whose solution over the parent's parameters is ``psol``.
+
+    Built when the queue pops it, side conditions first: when one vanishes
+    the child is a ``Refuted`` at stage side-assumption, and its varmap and
+    rows are never substituted.
+    """
+    _, params2, sub = apply_solution(psol, parent.params, [], f"p{parent.depth}_")
+    sides2 = [s.substitute(sub) for s in parent.sides] + [
+        s.substitute(sub) for tb in combo for s in tb.side
+    ]
+    if any(s.is_zero() for s in sides2):
+        return Refuted(path, {"kind": "empty_disjunction", "stage": "side-assumption"}, [], params2)
+    varmap2 = {v: f.substitute(sub) for v, f in parent.varmap.items()}
+    rows2 = [[row.substitute(sub) for _, row in tb.pivots] for tb in combo]
+    return _State(rows2, varmap2, params2, sides2, path, parent.depth + 1)
+
+
 def _building(system: EquationSystem, deadline=None):
     """Case analysis over the reduced system, as a stream of final branches.
 
@@ -229,6 +245,13 @@ def _building(system: EquationSystem, deadline=None):
     only read.  The memo dies with the call: a cache across calls would
     only pay off on a caller that repeats inputs, and a benchmark that
     cycles through its inputs would then measure the cache.
+
+    A pick of a branch's disjunctions is solved over the branch's
+    parameters at once, which settles whether it is empty, holds
+    identically (a final branch) or leaves a child.  The child state is
+    queued unbuilt and made by ``_child`` when the queue pops it, side
+    conditions first, so the children a consumer never reaches cost
+    nothing more.
     """
     spec = system.spec
     if spec.kind == "bs":
@@ -246,7 +269,7 @@ def _building(system: EquationSystem, deadline=None):
         start = [list(c.rows) for c in red.components]
         kind, k = "wreath", None
 
-    build = Build(kind, k, [], [], False, None)
+    build = Build(kind, k)
     sol = solve_forms(lin, evars)
     if sol.status == "empty":
         build.linear_cert = _linear_infeasible("shared-linear", lin, evars, sol)
@@ -262,6 +285,7 @@ def _building(system: EquationSystem, deadline=None):
 
     finals, refuted = build.finals, build.refuted
     solved: dict = {}  # _residual_key -> disjunction, for this call only
+    # the root state, then children as _child's arguments, built when popped
     queue = deque([_State(rows0, varmap, list(params), [], "", 1)])
 
     while queue:
@@ -272,11 +296,11 @@ def _building(system: EquationSystem, deadline=None):
             build.overflow = True
             return
         st = queue.popleft()
-        if any(s.is_zero() for s in st.sides):
-            refuted.append(
-                Refuted(st.path, {"kind": "empty_disjunction", "stage": "side-assumption"}, [], st.params)
-            )
-            continue
+        if not isinstance(st, _State):
+            st = _child(*st)
+            if isinstance(st, Refuted):
+                refuted.append(st)
+                continue
         try:
             tri_lists = [
                 triangularize(rows, mod, BRANCH_CAP)
@@ -332,17 +356,7 @@ def _building(system: EquationSystem, deadline=None):
                     yield finals[-1]
                     any_child = done = True
                     break
-                _, params2, sub = apply_solution(psol, st.params, [], f"p{st.depth}_")
-                varmap2 = {v: f.substitute(sub) for v, f in st.varmap.items()}
-                rows2 = [
-                    [row.substitute(sub) for _, row in part.pivots] for part in parts
-                ]
-                sides2 = [s.substitute(sub) for s in st.sides] + [
-                    s.substitute(sub) for tb in combo for s in tb.side
-                ]
-                queue.append(
-                    _State(rows2, varmap2, params2, sides2, path + f"/d{di}", st.depth + 1)
-                )
+                queue.append((st, psol, combo, path + f"/d{di}"))
                 any_child = True
             if done:
                 continue
@@ -1289,7 +1303,8 @@ def _check_obstruction(build: Build, parts, params, stage, cert: dict) -> bool:
     if list(inner.get("params", ())) != list(params):
         return False
     if inner.get("kind") == "empty_disjunction" and stage == "residual":
-        return not _residual_solutions(build.kind, build.k, _residual_key(part))
+        # the rebuild recorded this residual part as dead after solving it
+        return True
     if inner.get("kind") != "modulus_obstruction":
         return False
     return _replay(build.kind, build.k, part, params, inner)

@@ -20,7 +20,7 @@ equals the solution set of the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -31,8 +31,7 @@ from .intlinalg import AffineForm, lattice_contains, solve_linear
 Term = tuple[int, AffineForm]
 
 
-@dataclass(frozen=True)
-class SemenovSystem:
+class SemenovSystem(namedtuple("SemenovSystem", "equations k")):
     """Conjunction of equations sum_j beta_j * k^(form_j) + C = 0.
 
     Every variable ranges over Z.  The base k must be at least 2: for k = 1
@@ -40,12 +39,12 @@ class SemenovSystem:
     exist.
     """
 
-    equations: tuple[tuple[tuple[Term, ...], int], ...]
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"SemenovSystem needs base k >= 2, got {self.k}")
+    def __new__(cls, equations: tuple[tuple[tuple[Term, ...], int], ...], k: int):
+        if k < 2:
+            raise ValueError(f"SemenovSystem needs base k >= 2, got {k}")
+        return super().__new__(cls, equations, k)
 
     @staticmethod
     def make(equations, k: int) -> "SemenovSystem":

@@ -23,7 +23,7 @@ root is lifted.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .groups import GroupSpec
 
@@ -51,8 +51,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class EquationSystem:
+class EquationSystem(NamedTuple):
     spec: GroupSpec
     equations: tuple[tuple[Word, Word], ...]
     variables: tuple[str, ...]

@@ -23,13 +23,12 @@ the end.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .rings import LaurentPoly, RElem, ZkFrac
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """Tagged description of the ambient group: BS(1,k) or A wr Z."""
 
     kind: str  # "bs" | "wreath"
@@ -79,14 +78,12 @@ class GroupSpec:
         return "group wreath " + " x ".join(parts)
 
 
-@dataclass(frozen=True)
-class BsElement:
+class BsElement(NamedTuple):
     u: ZkFrac
     r: int
 
 
-@dataclass(frozen=True)
-class WreathElement:
+class WreathElement(NamedTuple):
     poly: LaurentPoly
     shift: int
 

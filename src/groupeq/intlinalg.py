@@ -7,8 +7,7 @@ even for small inputs, so numpy is deliberately not used in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 Matrix = list[list[int]]
@@ -26,8 +25,7 @@ def mat_vec(a: Matrix, x: Sequence[int]) -> list[int]:
 # Smith normal form
 
 
-@dataclass
-class SnfResult:
+class SnfResult(NamedTuple):
     """U * A * V = D with U, V unimodular and D diagonal, d_1 | d_2 | ..., d_i >= 0."""
 
     u: Matrix
@@ -127,8 +125,7 @@ def smith_normal_form(a: Matrix) -> SnfResult:
 # Linear systems A x = b over Z
 
 
-@dataclass
-class LinearSolutionSet:
+class LinearSolutionSet(NamedTuple):
     """Solution set of an integer linear system.
 
     status is "ok" or "empty".  When "ok", the set is
@@ -226,8 +223,7 @@ def lattice_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool
 # Affine forms over named integer variables
 
 
-@dataclass(frozen=True, order=True)
-class AffineForm:
+class AffineForm(NamedTuple):
     """Sum of coef * var plus a constant, with a canonical sorted term tuple."""
 
     terms: tuple[tuple[str, int], ...]

@@ -8,14 +8,13 @@ evaluator.  Everything here is exact and deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .groups import BsElement, GroupSpec, WreathElement, verify_witness
 from .rings import LaurentPoly, RElem, ZkFrac
 
 
-@dataclass(frozen=True)
-class SearchBall:
+class SearchBall(namedtuple("SearchBall", "radius")):
     """Bound on every coordinate of an element at once.
 
     For BS(1,k): |numerator| <= radius, k-adic depth <= radius and
@@ -24,11 +23,12 @@ class SearchBall:
     in magnitude, |shift| <= radius.
     """
 
-    radius: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.radius < 0:
+    def __new__(cls, radius: int):
+        if radius < 0:
             raise ValueError("radius must be >= 0")
+        return super().__new__(cls, radius)
 
 
 def _as_ball(ball) -> SearchBall:

@@ -27,8 +27,8 @@ as multisets (the path aside) are one branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .frontend import EquationSystem, Word
 from .groups import GroupSpec, lamp_index
@@ -39,8 +39,7 @@ from .intlinalg import AffineForm
 # Signed sums of monomials  coef * base^form
 
 
-@dataclass(frozen=True)
-class ExpSum:
+class ExpSum(NamedTuple):
     """Finite sum of coef * base^(affine form), coefficients in Z or Z_mod.
 
     The base (k for BS, t for wreath) is supplied by the consumer; this class
@@ -150,8 +149,7 @@ _ONE = ((AffineForm.constant(0), 1),)  # the terms of the ExpSum 1
 # Component systems
 
 
-@dataclass
-class Row:
+class Row(NamedTuple):
     """One equation  sum_u coeffs[u] * u  +  const  =  0."""
 
     coeffs: dict[str, ExpSum]
@@ -190,8 +188,7 @@ class Row:
         return " + ".join(parts) + " = 0"
 
 
-@dataclass
-class ExpLinSystem:
+class ExpLinSystem(NamedTuple):
     """Reduced form of a BS system: exponential rows plus linear forms."""
 
     k: int
@@ -201,15 +198,13 @@ class ExpLinSystem:
     zvars: list[str]
 
 
-@dataclass
-class CompSystem:
+class CompSystem(NamedTuple):
     component: int
     mod: int | None
     rows: list[Row]
 
 
-@dataclass
-class WreathSystem:
+class WreathSystem(NamedTuple):
     spec: GroupSpec
     components: list[CompSystem]
     linear: list[AffineForm]
@@ -363,8 +358,7 @@ def reduce_wreath(system: EquationSystem) -> WreathSystem:
 # Triangularization with zero/nonzero case splits
 
 
-@dataclass
-class TriBranch:
+class TriBranch(NamedTuple):
     """One branch of the case analysis over a component system.
 
     pivots is triangular: pivot s references only unknowns appearing later.

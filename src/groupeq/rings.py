@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -41,8 +40,7 @@ def zk_normalize(num: int, depth: int, k: int) -> tuple[int, int]:
     return (num, depth)
 
 
-@dataclass(frozen=True)
-class ZkFrac:
+class ZkFrac(NamedTuple):
     """An element z * k^-i of Z[1/k], kept in canonical form."""
 
     num: int
@@ -118,8 +116,7 @@ class ZkFrac:
 # Finitely generated abelian coefficient group R = Z^m + Z_{n_1} + ... + Z_{n_s}
 
 
-@dataclass(frozen=True)
-class RElem:
+class RElem(NamedTuple):
     """One coefficient of a wreath-product lamp configuration.
 
     free holds the Z^m part, torsion the Z_{n_j} parts reduced mod orders.
@@ -179,8 +176,7 @@ class RElem:
 # Sparse Laurent polynomials over RElem
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(NamedTuple):
     """Finite map degree -> nonzero RElem, as a sorted tuple of (degree, coeff)."""
 
     coeffs: tuple[tuple[int, RElem], ...]

@@ -39,7 +39,7 @@ from groupeq.groups import (
     verify_witness,
 )
 from groupeq.oracle import ball_elements
-from groupeq.reduce import reduce_bs, triangularize
+from groupeq.reduce import Row, reduce_bs, triangularize
 from groupeq.rings import (
     ZkFrac,
     mult_order,
@@ -135,13 +135,18 @@ def _residual_fallback(cert):
     return out, inner
 
 
-def test_residual_emptiness_fallback_verifies():
+def test_residual_emptiness_fallback_verifies(monkeypatch):
+    """The replay accepts the emptiness record of a residual part that its
+    rebuild solved and found dead, and does not solve that part again."""
+    seen = _record_residual_solves(monkeypatch)
     for text in ("group BS 2\nX^-1 a X = a^3",
                  "group wreath Z^0 x Z_2\nX^2 = t a t^-1 a",
                  "group wreath Z^1\na^2 a^-2 a^-1 t^2 = t^2"):
         system, v = _run(text)
         cert, inner = _residual_fallback(v.certificate)
+        seen.clear()
         assert verify_certificate(cert, system), text
+        assert seen and len(seen) == len(set(seen)), (text, seen)
         inner["rows"].append(inner["rows"][0])
         assert not verify_certificate(cert, system), text
 
@@ -992,6 +997,84 @@ def test_certificate_replay_solves_each_residual_system_once(monkeypatch):
     assert 0 < len(seen) == len(set(seen)) <= 4
     for bad in _cert_tampers(v.certificate):
         assert not verify_certificate(bad, system), bad
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` from here on."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_child_states_are_built_when_popped(monkeypatch):
+    """A pick that leaves a parameter lattice is queued unbuilt: a sat
+    ``decide`` that stops early makes only the children it pops, and a
+    child whose side condition vanishes is refuted before its rows are
+    substituted.  Building each child at pick time cost 16 parameter
+    solutions and 24 row substitutions in the ``decide`` below, and 34 and
+    24 row substitutions in the two drained builds."""
+    decide_mod = importlib.import_module("groupeq.decide")
+    solutions = _count_calls(monkeypatch, decide_mod, "apply_solution")
+    rows = _count_calls(monkeypatch, Row, "substitute")
+    system = parse_system("group wreath Z^1 x Z_2\nY X c1 Z^-1 = Z^-1 c1 X Y")
+    v = decide(system, Budget(steps=2))
+    assert v.status == "sat" and v.stats["branches"] == 2
+    assert 0 < len(solutions) <= 2 and 0 < len(rows) <= 2
+    rows.clear()
+    _build(system)
+    assert 0 < len(rows) <= 4
+    rows.clear()
+    build = _build(parse_system("group wreath Z^2\nt Y X Z^-1 = Z^-1 X Y t"))
+    side = {"kind": "empty_disjunction", "stage": "side-assumption"}
+    assert [r.cert for r in build.refuted].count(side) == 9
+    assert 0 < len(rows) <= 6
+
+
+# the 27 branches of ``group wreath Z^2``, ``t Y X Z^-1 = Z^-1 X Y t``, in
+# build order: final paths, and refuted paths with their recorded stage
+# (None for a dead residual system, certified on demand)
+Z2_FINALS = ["/tn.+n.", "/tzzn.+zzn./d0/tn.+n.", "/tzn.+zn./d0/tn.+n."]
+Z2_REFUTED = [
+    ("/tzzz+zzz", None), ("/tzzz+zzn.", None), ("/tzzz+zn.", None),
+    ("/tzzz+n.", None), ("/tzzn.+zzz", None), ("/tzn.+zzz", None),
+    ("/tn.+zzz", None), ("/tzzn.+zzn./d0/tz+z", None),
+    ("/tzzn.+zzn./d0/tz+n.", None), ("/tzzn.+zzn./d0/tn.+z", None),
+    ("/tzzn.+zn./d0", "side-assumption"), ("/tzzn.+n./d0", "side-assumption"),
+    ("/tzn.+zzn./d0", "side-assumption"), ("/tzn.+zn./d0/tzz+zz", None),
+    ("/tzn.+zn./d0/tzz+zn.", None), ("/tzn.+zn./d0/tzz+n.", None),
+    ("/tzn.+zn./d0/tzn.+zz", None), ("/tzn.+zn./d0/tn.+zz", None),
+    ("/tzn.+n./d0", "side-assumption"), ("/tn.+zzn./d0", "side-assumption"),
+    ("/tn.+zn./d0", "side-assumption"),
+    ("/tzn.+zn./d0/tzn.+zn./d0", "side-assumption"),
+    ("/tzn.+zn./d0/tzn.+n./d0", "side-assumption"),
+    ("/tzn.+zn./d0/tn.+zn./d0", "side-assumption"),
+]
+
+
+def test_deferred_children_keep_branch_order():
+    """Children built only when popped keep every path, its place in the
+    build and its recorded stage, in a drained build and in a streamed one;
+    a streamed build has refuted the same branches by each final it yields."""
+    system = parse_system("group wreath Z^2\nt Y X Z^-1 = Z^-1 X Y t")
+
+    def refuted(build):
+        return [(r.path, r.cert and r.cert["stage"]) for r in build.refuted]
+
+    build = _build(system)
+    assert [f.path for f in build.finals] == Z2_FINALS
+    assert refuted(build) == Z2_REFUTED
+    stream = _building(system)
+    streamed = next(stream)
+    seen = [(f.path, len(streamed.refuted)) for f in stream]
+    assert seen == list(zip(Z2_FINALS, [7, 10, 18]))
+    assert refuted(streamed) == Z2_REFUTED
+    assert [f.path for f in streamed.finals] == Z2_FINALS
 
 
 def test_long_constant_word_is_sat_and_verifies(tmp_path, capsys):
