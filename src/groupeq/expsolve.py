@@ -327,32 +327,35 @@ def semenov_solve(sys: SemenovSystem) -> list[list[AffineForm]]:
 
 def _partitions_zero_sum(coefs: list[int], mod: int | None) -> Iterator[list[int]]:
     """Restricted-growth block assignments where every block sums to zero."""
+    return _zero_sum_blocks(coefs, mod, [0] * len(coefs), [], 0, 0)
+
+
+def _nonzero(s: int, mod: int | None) -> bool:
+    return bool(s % mod) if mod is not None else bool(s)
+
+
+def _zero_sum_blocks(coefs: list[int], mod: int | None, assign: list[int],
+                     sums: list[int], i: int, nblocks: int) -> Iterator[list[int]]:
+    """The assignments of ``_partitions_zero_sum`` that extend assign[:i],
+    whose blocks' sums so far are sums.  A module-level generator and not a
+    closure, so that a call leaves no reference cycle behind."""
     n = len(coefs)
-    assign = [0] * n
-    sums: list[int] = []
-
-    def bad(s: int) -> bool:
-        return bool(s % mod) if mod is not None else bool(s)
-
-    def rec(i: int, nblocks: int) -> Iterator[list[int]]:
-        if i == n:
-            if not any(bad(s) for s in sums):
-                yield assign[:]
-            return
-        remaining = n - i
-        for b in range(nblocks + 1):
-            if b == nblocks:
-                sums.append(0)
-            assign[i] = b
-            sums[b] += coefs[i]
-            open_blocks = sum(1 for s in sums if bad(s))
-            if open_blocks <= remaining - 1:
-                yield from rec(i + 1, max(nblocks, b + 1))
-            sums[b] -= coefs[i]
-            if b == nblocks:
-                sums.pop()
-
-    yield from rec(0, 0)
+    if i == n:
+        if not any(_nonzero(s, mod) for s in sums):
+            yield assign[:]
+        return
+    remaining = n - i
+    for b in range(nblocks + 1):
+        if b == nblocks:
+            sums.append(0)
+        assign[i] = b
+        sums[b] += coefs[i]
+        open_blocks = sum(1 for s in sums if _nonzero(s, mod))
+        if open_blocks <= remaining - 1:
+            yield from _zero_sum_blocks(coefs, mod, assign, sums, i + 1, max(nblocks, b + 1))
+        sums[b] -= coefs[i]
+        if b == nblocks:
+            sums.pop()
 
 
 def grouping_solve(
@@ -410,7 +413,17 @@ def grouping_solve(
 
 
 def solve_forms(forms: Sequence[AffineForm], variables: Sequence[str]):
-    a = [[f.coef(v) for v in variables] for f in forms]
+    """Solve forms = 0 over Z, one matrix column per variable, in order; a
+    form's term in a variable that is not listed is left out."""
+    col = {v: j for j, v in enumerate(variables)}
+    a = []
+    for f in forms:
+        row = [0] * len(variables)
+        for v, c in f.terms:
+            j = col.get(v)
+            if j is not None:
+                row[j] = c
+        a.append(row)
     b = [-f.const for f in forms]
     if not forms:
         # keep the variable count visible to the solver

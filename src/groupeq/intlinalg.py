@@ -3,6 +3,13 @@
 All arithmetic is plain Python integers (unbounded).  Fixed-width arithmetic
 is unsound here: unimodular transforms can blow entries up well past 2^63
 even for small inputs, so numpy is deliberately not used in this module.
+
+The Smith form's pivot rule and step order (``_eliminate``) are part of the
+certificate contract, not only of its speed.  V's columns name the free
+parameters of every solved system, and through them the branch parameters,
+the lift grids and the certificate rows that ``decide.verify_certificate``
+renders again.  Another pivot rule or step order gives another, equally
+valid, V, so changing either needs a ``decide.CERT_VERSION`` bump.
 """
 
 from __future__ import annotations
@@ -11,14 +18,6 @@ from typing import NamedTuple, Sequence
 
 
 Matrix = list[list[int]]
-
-
-def identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_vec(a: Matrix, x: Sequence[int]) -> list[int]:
-    return [sum(r[j] * x[j] for j in range(len(x))) for r in a]
 
 
 # ---------------------------------------------------------------------------
@@ -35,90 +34,103 @@ class SnfResult(NamedTuple):
     cols: int
 
 
-def smith_normal_form(a: Matrix) -> SnfResult:
-    m = len(a)
-    n = len(a[0]) if m else 0
-    d = [row[:] for row in a]
-    u = identity(m)
-    v = identity(n)
+def _eliminate(d: Matrix, n: int) -> tuple[Matrix, int]:
+    """Bring the first n columns of the rows d to Smith form, in place.
 
-    def row_sub(r: int, s: int, q: int) -> None:
-        # row r -= q * row s
-        dr, ds = d[r], d[s]
-        for j in range(n):
-            dr[j] -= q * ds[j]
-        ur, us = u[r], u[s]
-        for j in range(m):
-            ur[j] -= q * us[j]
+    Each row may carry entries past column n; every row operation applies to
+    them too, and nothing else reads them (identity rows give U, a right-hand
+    side gives U*b).  Returns V by columns and the rank r, so that d[i][i] for
+    i < r is the diagonal.  The pivot rule and the step order below fix V and
+    so belong to the certificate contract (module docstring).
 
-    def col_sub(c: int, s: int, q: int) -> None:
-        for i in range(m):
-            d[i][c] -= q * d[i][s]
-        for i in range(n):
-            v[i][c] -= q * v[i][s]
-
+    The steps, each repeated until a pass leaves nothing to do: the pivot is
+    the nonzero entry of smallest absolute value in the remaining submatrix,
+    ties to the lowest row and then the lowest column; it is swapped to (t, t);
+    every other row, then every other column, is reduced by it; if a
+    remainder is left, a new pivot is chosen; otherwise, if some entry of the
+    remaining submatrix is not a multiple of the pivot, the first row holding
+    one is added to the pivot row and a new pivot is chosen; otherwise the
+    pivot row is negated when the pivot is negative.  The column of a pivot
+    and the row of an earlier pivot hold zeros outside the diagonal, so the
+    reductions start at t + 1.
+    """
+    m = len(d)
+    vcols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
     t = 0
-    while True:
-        # smallest nonzero entry of the remaining submatrix; ties: lowest row, col
-        best = None
+    while t < m and t < n:
+        best, bi, bj = 0, t, t
         for i in range(t, m):
             di = d[i]
             for j in range(t, n):
                 val = di[j]
-                if val and (best is None or abs(val) < abs(best[2])):
-                    best = (i, j, val)
-        if best is None:
+                if val and (not best or abs(val) < best):
+                    best, bi, bj = abs(val), i, j
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if not best:
             break
-        bi, bj, _ = best
         if bi != t:
             d[t], d[bi] = d[bi], d[t]
-            u[t], u[bi] = u[bi], u[t]
         if bj != t:
             for row in d:
                 row[t], row[bj] = row[bj], row[t]
-            for row in v:
-                row[t], row[bj] = row[bj], row[t]
+            vcols[t], vcols[bj] = vcols[bj], vcols[t]
 
+        dt = d[t]
+        piv = dt[t]
         dirty = False
-        for i in range(m):
-            if i != t and d[i][t]:
-                row_sub(i, t, d[i][t] // d[t][t])
-                if d[i][t]:
+        for i in range(t + 1, m):
+            q = d[i][t] // piv
+            if q:
+                d[i] = di = [x - q * y for x, y in zip(d[i], dt)]
+                if di[t]:
                     dirty = True
-        for j in range(n):
-            if j != t and d[t][j]:
-                col_sub(j, t, d[t][j] // d[t][t])
-                if d[t][j]:
+        vt = vcols[t]
+        for j in range(t + 1, n):
+            q = dt[j] // piv
+            if q:
+                for row in d:
+                    y = row[t]
+                    if y:
+                        row[j] -= q * y
+                vcols[j] = [x - q * y for x, y in zip(vcols[j], vt)]
+                if dt[j]:
                     dirty = True
         if dirty:
             continue
 
-        piv = d[t][t]
-        offender = None
-        for i in range(t + 1, m):
-            di = d[i]
-            for j in range(t + 1, n):
-                if di[j] % piv:
-                    offender = i
-                    break
+        if best != 1:
+            offender = next(
+                (d[i] for i in range(t + 1, m) if any(x % piv for x in d[i][t + 1 : n])),
+                None,
+            )
             if offender is not None:
-                break
-        if offender is not None:
-            # pull the offending row in so the pivot shrinks to a divisor
-            row_sub(t, offender, -1)
-            continue
+                # pull the offending row in so the pivot shrinks to a divisor
+                d[t] = [x + y for x, y in zip(dt, offender)]
+                continue
 
         if piv < 0:
-            for j in range(n):
-                d[t][j] = -d[t][j]
-            for j in range(m):
-                u[t][j] = -u[t][j]
+            d[t] = [-x for x in dt]
         t += 1
+    return vcols, t
 
-    diag = [d[i][i] for i in range(min(m, n))]
-    while diag and diag[-1] == 0:
-        diag.pop()
-    return SnfResult(u=u, v=v, diag=diag, rows=m, cols=n)
+
+def smith_normal_form(a: Matrix) -> SnfResult:
+    """U, V and the diagonal of A's Smith form, by ``_eliminate``'s steps
+    (whose pivot rule and order fix V; see the module docstring)."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    d = [row[:n] + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(a)]
+    vcols, r = _eliminate(d, n)
+    return SnfResult(
+        u=[row[n:] for row in d],
+        v=[list(row) for row in zip(*vcols)],
+        diag=[d[i][i] for i in range(r)],
+        rows=m,
+        cols=n,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -156,26 +168,29 @@ class LinearSolutionSet(NamedTuple):
 
 
 def solve_linear(a: Matrix, b: Sequence[int]) -> LinearSolutionSet:
+    """Solve A x = b through the Smith form U A V = D: with c = U b, D y = c
+    is solved row by row and x = V y.  The free parameters are the last n - r
+    coordinates of y, so the basis is V's last n - r columns."""
     m = len(a)
     n = len(a[0]) if m else 0
     if m == 0:
         return LinearSolutionSet(status="ok", nvars=n, particular=(0,) * n,
                                  basis=tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-    snf = smith_normal_form(a)
-    c = mat_vec(snf.u, list(b))
-    r = len(snf.diag)
-    y = [0] * n
+    d = [row[:n] + [bi] for row, bi in zip(a, b)]
+    vcols, r = _eliminate(d, n)
+    particular = [0] * n
     for i in range(r):
-        di = snf.diag[i]
-        if c[i] % di:
-            return LinearSolutionSet(status="empty", nvars=n, cert_row=(i, di, c[i]))
-        y[i] = c[i] // di
+        di, ci = d[i][i], d[i][n]
+        if ci % di:
+            return LinearSolutionSet(status="empty", nvars=n, cert_row=(i, di, ci))
+        y = ci // di
+        if y:
+            particular = [p + y * v for p, v in zip(particular, vcols[i])]
     for i in range(r, m):
-        if c[i]:
-            return LinearSolutionSet(status="empty", nvars=n, cert_row=(i, 0, c[i]))
-    particular = tuple(mat_vec(snf.v, y))
-    basis = tuple(tuple(snf.v[i][j] for i in range(n)) for j in range(r, n))
-    return LinearSolutionSet(status="ok", nvars=n, particular=particular, basis=basis)
+        if d[i][n]:
+            return LinearSolutionSet(status="empty", nvars=n, cert_row=(i, 0, d[i][n]))
+    basis = tuple(tuple(vcols[j]) for j in range(r, n))
+    return LinearSolutionSet(status="ok", nvars=n, particular=tuple(particular), basis=basis)
 
 
 def row_hnf(vecs: Sequence[Sequence[int]], n: int) -> list[list[int]]:

@@ -414,49 +414,53 @@ def triangularize(rows: list[Row], mod: int | None, branch_cap: int = 512) -> li
     Branches that differ only in their path are kept once, the first found.
     """
     out: list[TriBranch] = []
-    seen: set[tuple] = set()
+    _walk(rows, [], [], [], "", mod, branch_cap, out, set())
+    return out
 
-    def emit(branch: TriBranch) -> None:
+
+def _walk(work: list[Row], pivots, residuals, side, path: str,
+          mod: int | None, branch_cap: int, out: list[TriBranch], seen: set) -> None:
+    """Append the branches below one node of the case split to out, depth
+    first, the zero branch before the nonzero one; seen holds the
+    ``_branch_key`` of every branch in out.  A module-level function and not
+    a closure, so that a call leaves no reference cycle behind."""
+    if len(out) >= branch_cap:
+        raise BranchOverflow()
+    work = [r.normalized() for r in work]
+    ready: list[Row] = []
+    for r in work:
+        if r.coeffs:
+            ready.append(r)
+        elif not r.const.is_zero():
+            residuals = residuals + [r.const]
+    if not ready:
+        branch = TriBranch(list(pivots), residuals, side, path)
         key = _branch_key(branch)
         if key not in seen:
             seen.add(key)
             out.append(branch)
-
-    def walk(work: list[Row], pivots, residuals, side, path: str) -> None:
-        if len(out) >= branch_cap:
-            raise BranchOverflow()
-        work = [r.normalized() for r in work]
-        ready: list[Row] = []
-        for r in work:
-            if r.coeffs:
-                ready.append(r)
-            elif not r.const.is_zero():
-                residuals = residuals + [r.const]
-        if not ready:
-            emit(TriBranch(list(pivots), residuals, side, path))
-            return
-        # deterministic pivot choice: safest coefficient first
-        best = None
-        for i, row in enumerate(ready):
-            for u in sorted(row.coeffs):
-                score = _pivot_score(row.coeffs[u], mod) + (u, i)
-                if best is None or score < best[0]:
-                    best = (score, i, u)
-        _, i, u = best
-        prow = ready[i]
-        coef = prow.coeffs[u]
-        rest = ready[:i] + ready[i + 1 :]
-        if coef.single() is None:
-            # zero branch: this coefficient sum vanishes
-            zrow = Row({v: s for v, s in prow.coeffs.items() if v != u}, prow.const)
-            walk(rest + [zrow], pivots, residuals + [coef], side, path + "z")
-            side = side + [coef]
-            path = path + "n"
-        eliminated = [row.eliminate(u, prow) if u in row.coeffs else row for row in rest]
-        walk(eliminated, pivots + [(u, prow)], residuals, side, path + ".")
-
-    walk(rows, [], [], [], "")
-    return out
+        return
+    # deterministic pivot choice: safest coefficient first
+    best = None
+    for i, row in enumerate(ready):
+        for u in sorted(row.coeffs):
+            score = _pivot_score(row.coeffs[u], mod) + (u, i)
+            if best is None or score < best[0]:
+                best = (score, i, u)
+    _, i, u = best
+    prow = ready[i]
+    coef = prow.coeffs[u]
+    rest = ready[:i] + ready[i + 1 :]
+    if coef.single() is None:
+        # zero branch: this coefficient sum vanishes
+        zrow = Row({v: s for v, s in prow.coeffs.items() if v != u}, prow.const)
+        _walk(rest + [zrow], pivots, residuals + [coef], side, path + "z",
+              mod, branch_cap, out, seen)
+        side = side + [coef]
+        path = path + "n"
+    eliminated = [row.eliminate(u, prow) if u in row.coeffs else row for row in rest]
+    _walk(eliminated, pivots + [(u, prow)], residuals, side, path + ".",
+          mod, branch_cap, out, seen)
 
 
 class BranchOverflow(Exception):

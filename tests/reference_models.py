@@ -1,12 +1,138 @@
 """Reference models the tests check the package against.
 
 No solver, CLI or benchmark code needs these, so they live with the tests:
-plain matrix products and determinants for the Smith normal form, and exact
-evaluation of a reduced system at a group assignment, which must agree with
-re-multiplying the equations.
+plain matrix products and determinants for the Smith normal form, the dense
+Smith normal form and Z-linear solver that ``groupeq.intlinalg``'s single
+elimination must reproduce field for field, and exact evaluation of a reduced
+system at a group assignment, which must agree with re-multiplying the
+equations.
 """
 
+from typing import Sequence
+
+from groupeq.intlinalg import LinearSolutionSet, Matrix, SnfResult
 from groupeq.reduce import rvar, xvar, yvar
+
+
+def identity(n: int) -> Matrix:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def mat_vec(a: Matrix, x: Sequence[int]) -> list[int]:
+    return [sum(r[j] * x[j] for j in range(len(x))) for r in a]
+
+
+# The dense reference for ``groupeq.intlinalg``'s single elimination: the same
+# steps with U as a full m x m matrix, V by rows, and U*b formed at the end.
+
+
+def smith_normal_form(a: Matrix) -> SnfResult:
+    m = len(a)
+    n = len(a[0]) if m else 0
+    d = [row[:] for row in a]
+    u = identity(m)
+    v = identity(n)
+
+    def row_sub(r: int, s: int, q: int) -> None:
+        # row r -= q * row s
+        dr, ds = d[r], d[s]
+        for j in range(n):
+            dr[j] -= q * ds[j]
+        ur, us = u[r], u[s]
+        for j in range(m):
+            ur[j] -= q * us[j]
+
+    def col_sub(c: int, s: int, q: int) -> None:
+        for i in range(m):
+            d[i][c] -= q * d[i][s]
+        for i in range(n):
+            v[i][c] -= q * v[i][s]
+
+    t = 0
+    while True:
+        # smallest nonzero entry of the remaining submatrix; ties: lowest row, col
+        best = None
+        for i in range(t, m):
+            di = d[i]
+            for j in range(t, n):
+                val = di[j]
+                if val and (best is None or abs(val) < abs(best[2])):
+                    best = (i, j, val)
+        if best is None:
+            break
+        bi, bj, _ = best
+        if bi != t:
+            d[t], d[bi] = d[bi], d[t]
+            u[t], u[bi] = u[bi], u[t]
+        if bj != t:
+            for row in d:
+                row[t], row[bj] = row[bj], row[t]
+            for row in v:
+                row[t], row[bj] = row[bj], row[t]
+
+        dirty = False
+        for i in range(m):
+            if i != t and d[i][t]:
+                row_sub(i, t, d[i][t] // d[t][t])
+                if d[i][t]:
+                    dirty = True
+        for j in range(n):
+            if j != t and d[t][j]:
+                col_sub(j, t, d[t][j] // d[t][t])
+                if d[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+
+        piv = d[t][t]
+        offender = None
+        for i in range(t + 1, m):
+            di = d[i]
+            for j in range(t + 1, n):
+                if di[j] % piv:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            # pull the offending row in so the pivot shrinks to a divisor
+            row_sub(t, offender, -1)
+            continue
+
+        if piv < 0:
+            for j in range(n):
+                d[t][j] = -d[t][j]
+            for j in range(m):
+                u[t][j] = -u[t][j]
+        t += 1
+
+    diag = [d[i][i] for i in range(min(m, n))]
+    while diag and diag[-1] == 0:
+        diag.pop()
+    return SnfResult(u=u, v=v, diag=diag, rows=m, cols=n)
+
+
+def solve_linear(a: Matrix, b: Sequence[int]) -> LinearSolutionSet:
+    m = len(a)
+    n = len(a[0]) if m else 0
+    if m == 0:
+        return LinearSolutionSet(status="ok", nvars=n, particular=(0,) * n,
+                                 basis=tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+    snf = smith_normal_form(a)
+    c = mat_vec(snf.u, list(b))
+    r = len(snf.diag)
+    y = [0] * n
+    for i in range(r):
+        di = snf.diag[i]
+        if c[i] % di:
+            return LinearSolutionSet(status="empty", nvars=n, cert_row=(i, di, c[i]))
+        y[i] = c[i] // di
+    for i in range(r, m):
+        if c[i]:
+            return LinearSolutionSet(status="empty", nvars=n, cert_row=(i, 0, c[i]))
+    particular = tuple(mat_vec(snf.v, y))
+    basis = tuple(tuple(snf.v[i][j] for i in range(n)) for j in range(r, n))
+    return LinearSolutionSet(status="ok", nvars=n, particular=particular, basis=basis)
 
 
 def mat_mul(a, b):

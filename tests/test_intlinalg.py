@@ -5,12 +5,12 @@ from groupeq.intlinalg import (
     AffineForm,
     apply_solution,
     lattice_contains,
-    mat_vec,
     row_hnf,
     smith_normal_form,
     solve_linear,
 )
-from reference_models import d_matrix, det, mat_mul
+import reference_models as ref
+from reference_models import d_matrix, det, mat_mul, mat_vec
 
 
 def test_snf_worked_example():
@@ -195,3 +195,68 @@ def test_mat_vec_agrees_with_mat_mul():
         x = [rng.randint(-9, 9) for _ in range(n)]
         col = [[v] for v in x]
         assert [[v] for v in mat_vec(a, x)] == mat_mul(a, col)
+
+
+def _rand_system(rng):
+    """A random system A x = b of one of the shapes the solver must keep:
+    +-1 entries, non-unit pivots (every entry a multiple of 2, 3 or 6, or one
+    large entry), zero columns, repeated rows, rows repeated with another
+    right-hand side (inconsistent), and m < n, m = n or m > n."""
+    m, n = rng.randint(1, 7), rng.randint(1, 7)
+    kind = rng.choice(["unit", "small", "wide", "multiple"])
+    if kind == "unit":
+        a = [[rng.choice((-1, 0, 0, 1)) for _ in range(n)] for _ in range(m)]
+    elif kind == "small":
+        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+    elif kind == "wide":
+        a = [[rng.randint(-60, 60) for _ in range(n)] for _ in range(m)]
+    else:
+        g = rng.choice((2, 3, 6))
+        a = [[g * rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.5:
+            a[rng.randrange(m)][rng.randrange(n)] += rng.choice((-1, 1)) * g * 7 + 1
+    if rng.random() < 0.25:
+        j = rng.randrange(n)
+        for row in a:
+            row[j] = 0
+    b = [rng.randint(-9, 9) for _ in range(m)]
+    if rng.random() < 0.3:
+        b = [0] * m
+    elif rng.random() < 0.4:
+        # consistent right-hand side: b = A x for some x
+        x = [rng.randint(-5, 5) for _ in range(n)]
+        b = mat_vec(a, x)
+    if m >= 2 and rng.random() < 0.3:
+        i, j = rng.sample(range(m), 2)
+        a[j] = a[i][:]
+        b[j] = b[i] + rng.choice((0, 0, 1, 2))
+    return a, b
+
+
+def test_elimination_matches_reference_field_for_field():
+    # the pivot rule and step order fix U, V and the diagonal, and V names the
+    # parameters of every certificate: the lean elimination must give exactly
+    # the dense reference's answer, not just another valid Smith form
+    rng = random.Random(2021)
+    seen = {"empty": 0, "non_unit": 0, "wide": 0, "tall": 0, "zero_col": 0, "repeat": 0}
+    for _ in range(20000):
+        a, b = _rand_system(rng)
+        m, n = len(a), len(a[0])
+        a0, b0 = [row[:] for row in a], b[:]
+        assert smith_normal_form(a) == ref.smith_normal_form(a), a
+        got = solve_linear(a, b)
+        assert got == ref.solve_linear(a, b), (a, b)
+        assert (a, b) == (a0, b0)
+        snf = smith_normal_form(a)
+        seen["empty"] += got.status == "empty"
+        seen["non_unit"] += any(d > 1 for d in snf.diag)
+        seen["wide"] += m < n
+        seen["tall"] += m > n
+        seen["zero_col"] += any(not any(row[j] for row in a) for j in range(n))
+        seen["repeat"] += len({tuple(row) for row in a}) < m
+    for m, n in [(0, 0), (1, 0), (2, 0)]:
+        a = [[] for _ in range(m)]
+        assert smith_normal_form(a) == ref.smith_normal_form(a)
+        for b in ([0] * m, [3] * m):
+            assert solve_linear(a, b) == ref.solve_linear(a, b)
+    assert all(v >= 1000 for v in seen.values()), seen

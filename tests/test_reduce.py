@@ -1,9 +1,12 @@
+import gc
 import itertools
 import math
+import pathlib
 import random
 import time
 
 from groupeq.decide import Budget, decide
+from groupeq.expsolve import grouping_solve
 from groupeq.frontend import EquationSystem, parse_spec, parse_system, render_word
 from groupeq.groups import GroupSpec, generator, verify_witness
 from groupeq.intlinalg import AffineForm
@@ -546,3 +549,23 @@ def test_long_runs_reduce_and_decide_quickly():
         assert [len(row.const.terms) for row in rows] == [1]
         assert verdict.status == "sat"
         assert verify_witness(system, verdict.witness)
+
+
+def test_case_split_and_grouping_leave_no_reference_cycles():
+    # each call's garbage must go by reference counting alone; a recursive
+    # closure (a function held in its own cell) makes a cycle on every call
+    corpus = pathlib.Path(__file__).parent / "corpus"
+    solved = 0
+    gc.collect()
+    gc.disable()
+    try:
+        for name in ("zwr_commute_pair", "mixed_square_free", "lamp3_root_clash"):
+            red = reduce_wreath(parse_system((corpus / f"{name}.eq").read_text()))
+            for comp in red.components:
+                for branch in triangularize(comp.rows, comp.mod):
+                    eqs = [[(c, f) for f, c in s.terms] for s in branch.residuals]
+                    solved += len(grouping_solve(eqs, comp.mod)) if eqs else 0
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
+    assert solved >= 3
