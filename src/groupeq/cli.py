@@ -15,10 +15,10 @@ import math
 import sys
 import time
 
-from .decide import Budget, build_report, decide, verify_certificate
+from .decide import Budget, _base, _build, _render_rows, build_report, decide, verify_certificate
 from .frontend import ParseError, parse_system, system_hash
 from .groups import parse_element, verify_witness
-from .reduce import reduce_bs, reduce_wreath, triangularize
+from .reduce import BranchOverflow, reduce_system, triangularize
 
 EXIT_SAT = 0
 EXIT_UNSAT = 1
@@ -104,57 +104,46 @@ def _budget(args) -> Budget:
 
 
 def _debug_reduce(system, out):
-    if system.spec.kind == "bs":
-        red = reduce_bs(system)
-        base = str(red.k)
-        print("# stage reduce (exponential rows over Z[1/k])", file=out)
-        for row in red.rows:
-            print(f"  {row.render(base)}", file=out)
-        for f in red.linear:
-            print(f"  linear: {f.render()} = 0", file=out)
-    else:
-        red = reduce_wreath(system)
-        print("# stage reduce (per-component rows)", file=out)
-        for comp in red.components:
-            mod = "Z" if comp.mod is None else f"Z_{comp.mod}"
-            print(f"  component {comp.component} over {mod}:", file=out)
-            for row in comp.rows:
-                print(f"    {row.render('t')}", file=out)
-        for f in red.linear:
-            print(f"  linear: {f.render()} = 0", file=out)
+    base = _base(system.spec.kind)
+    red = reduce_system(system)
+    print("# stage reduce (rows per coefficient component)", file=out)
+    for comp in red.components:
+        ring = "Z" if comp.mod is None else f"Z_{comp.mod}"
+        print(f"  component {comp.component} over {ring}[{base}, 1/{base}]:", file=out)
+        for row in comp.rows:
+            print(f"    {row.render(base)}", file=out)
+    for f in red.linear:
+        print(f"  linear: {f.render()} = 0", file=out)
 
 
 def _debug_tri(system, out):
-    print("# stage tri (case-split triangular branches)", file=out)
-    if system.spec.kind == "bs":
-        red = reduce_bs(system)
-        for br in triangularize(red.rows, None):
-            print(br.render(str(red.k)), file=out)
-    else:
-        red = reduce_wreath(system)
-        for comp in red.components:
-            print(f"component {comp.component}:", file=out)
-            for br in triangularize(comp.rows, comp.mod):
-                print(br.render("t"), file=out)
+    base = _base(system.spec.kind)
+    print("# stage tri (case-split triangular branches per component)", file=out)
+    for comp in reduce_system(system).components:
+        print(f"component {comp.component}:", file=out)
+        try:
+            branches = triangularize(comp.rows, comp.mod)
+        except BranchOverflow:
+            print("  (branch cap hit)", file=out)
+            continue
+        for br in branches:
+            print(br.render(base), file=out)
 
 
 def _debug_exp(system, out):
-    from .decide import _build
-
-    build = _build(system)
     print("# stage exp (branch construction)", file=out)
+    if system.spec.kind == "bs" and system.spec.k == 1:
+        print("  BS(1,1) is free abelian: no case split, one linear solve decides it",
+              file=out)
+        return
+    build = _build(system)
     if build.linear_cert is not None:
         print("  shared linear stage infeasible", file=out)
         return
     for fb in build.finals:
         print(f"  open branch {fb.path}: params {fb.params}", file=out)
-        for part in fb.parts:
-            mod = "Z" if part.mod is None else f"Z_{part.mod}"
-            base = str(build.k) if build.kind == "bs" else "t"
-            for name, row in part.pivots:
-                print(f"    [{mod}] pivot {name}: {row.render(base)}", file=out)
-            for r in part.residuals:
-                print(f"    [{mod}] residual: {r.render(base)} = 0", file=out)
+        for line in _render_rows(fb.parts, build.kind):
+            print(f"    {line}", file=out)
     for rb in build.refuted:
         # a dead residual system is certified only for an unsat verdict
         what = "dead residuals" if rb.cert is None else rb.cert["kind"]
@@ -225,7 +214,10 @@ def _run_verify_only(path: str) -> int:
         print(f"groupeq: cannot load report: {e}", file=sys.stderr)
         return EXIT_DATA
     try:
-        system = parse_system(report["system"])
+        text = report["system"]
+        if not isinstance(text, str):
+            raise TypeError(f"system is {type(text).__name__}, not text")
+        system = parse_system(text)
     except (KeyError, TypeError, ParseError) as e:
         print(f"groupeq: report has no readable system: {e}", file=sys.stderr)
         return EXIT_DATA

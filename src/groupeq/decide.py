@@ -1,10 +1,11 @@
 """Decision procedure for word equation systems over the supported groups.
 
-The input system is reduced to component form and case-split into finitely
-many triangular branches; the build solves each distinct residual system
-exactly once per call, however many branches share it, and builds a child
-branch's state only when its queue pops it, side conditions first.  Every
-branch is attacked from two sides at once:
+The input system is reduced to rows per coefficient component, BS(1,k)
+being the one component -1 (``reduce.reduce_system``), and case-split into
+finitely many triangular branches; the build solves each distinct residual
+system exactly once per call, however many branches share it, and builds a
+child branch's state only when its queue pops it, side conditions first.
+Every branch is attacked from two sides at once:
 
 * a witness search accepts an assignment lifted from branch solutions when
   ``groups.verify_witness`` does, the exact re-multiplication that
@@ -50,11 +51,11 @@ from .groups import BsElement, WreathElement, verify_witness
 from .intlinalg import AffineForm, apply_solution, solve_linear
 from .expsolve import SemenovSystem, semenov_solve, grouping_solve, solve_forms
 from .reduce import (
+    BRANCH_CAP,
     BranchOverflow,
     ExpSum,
     Row,
-    reduce_bs,
-    reduce_wreath,
+    reduce_system,
     rvar,
     triangularize,
     xvar,
@@ -85,9 +86,6 @@ CERT_VERSION = 1
 # refinement rounds tried on a dead residual system before its certificate
 # falls back to the exact solver's emptiness record
 ATTEMPT_LEVELS = 10
-# case-split branches a build keeps before it marks its coverage incomplete;
-# the rebuild that replays a certificate keeps as many
-BRANCH_CAP = 400
 # refinement nodes kept per level; a level also stops after WORK_CAP
 # parameter extensions and residue picks
 NODE_CAP = 4000
@@ -151,9 +149,10 @@ class Refuted(NamedTuple):
 
 
 class Build:
-    """The branches of one case analysis, filled as ``_building`` runs."""
+    """The branches of one case analysis, filled as ``_building`` runs.
+    ``k`` is the group's: the base of BS(1,k), 0 for A wr Z."""
 
-    def __init__(self, kind: str, k: int | None):
+    def __init__(self, kind: str, k: int):
         self.kind = kind
         self.k = k
         self.finals: list = []
@@ -175,10 +174,15 @@ def _residual_terms(s: ExpSum):
     return tuple((c, f) for f, c in s.terms)
 
 
+def _base(kind) -> str:
+    """The letter that rows print for the base of their monomials."""
+    return "k" if kind == "bs" else "t"
+
+
 def _render_rows(parts, kind) -> list:
     out = []
+    base = _base(kind)
     for part in parts:
-        base = "k" if kind == "bs" else "t"
         for u, row in part.pivots:
             out.append(f"[{part.component}] pivot {u}: {row.render(base)}")
         for s in part.residuals:
@@ -189,8 +193,7 @@ def _render_rows(parts, kind) -> list:
 def _cert_rows(parts, kind, stage) -> list:
     """The rows that a certificate at ``stage`` records for ``parts``."""
     if stage == "residual":
-        base = "k" if kind == "bs" else "t"
-        return [s.render(base) + " = 0" for part in parts for s in part.residuals]
+        return [s.render(_base(kind)) + " = 0" for part in parts for s in part.residuals]
     return _render_rows(parts, kind)
 
 
@@ -253,22 +256,9 @@ def _building(system: EquationSystem, deadline=None):
     conditions first, so the children a consumer never reaches cost
     nothing more.
     """
-    spec = system.spec
-    if spec.kind == "bs":
-        red = reduce_bs(system)
-        evars = list(red.rvars)
-        lin = list(red.linear)
-        comp_info = [(-1, None)]
-        start = [list(red.rows)]
-        kind, k = "bs", red.k
-    else:
-        red = reduce_wreath(system)
-        evars = list(red.xvars) + list(red.yvars)
-        lin = list(red.linear)
-        comp_info = [(c.component, c.mod) for c in red.components]
-        start = [list(c.rows) for c in red.components]
-        kind, k = "wreath", None
-
+    kind, k = system.spec.kind, system.spec.k
+    red = reduce_system(system)
+    evars, lin = red.evars, red.linear
     build = Build(kind, k)
     sol = solve_forms(lin, evars)
     if sol.status == "empty":
@@ -281,7 +271,7 @@ def _building(system: EquationSystem, deadline=None):
         sol, evars, [AffineForm.var(v) for v in evars], "p0_"
     )
     varmap = dict(zip(evars, varfs))
-    rows0 = [[r.substitute(varmap) for r in rows] for rows in start]
+    rows0 = [[r.substitute(varmap) for r in c.rows] for c in red.components]
 
     finals, refuted = build.finals, build.refuted
     solved: dict = {}  # _residual_key -> disjunction, for this call only
@@ -303,8 +293,8 @@ def _building(system: EquationSystem, deadline=None):
                 continue
         try:
             tri_lists = [
-                triangularize(rows, mod, BRANCH_CAP)
-                for (_, mod), rows in zip(comp_info, st.comp_rows)
+                triangularize(rows, c.mod, BRANCH_CAP)
+                for c, rows in zip(red.components, st.comp_rows)
             ]
         except BranchOverflow:
             build.overflow = True
@@ -312,8 +302,8 @@ def _building(system: EquationSystem, deadline=None):
         for combo in itertools.product(*tri_lists):
             path = st.path + "/t" + "+".join(tb.path or "-" for tb in combo)
             parts = [
-                Part(c, mod, list(tb.pivots), list(tb.residuals))
-                for (c, mod), tb in zip(comp_info, combo)
+                Part(c.component, c.mod, list(tb.pivots), list(tb.residuals))
+                for c, tb in zip(red.components, combo)
             ]
             if len(finals) + len(refuted) >= BRANCH_CAP:
                 build.overflow = True
@@ -1055,14 +1045,14 @@ def _abelian_forms(system):
 
     Returns the forms and their variables, unknowns' a-parts first.
     """
-    red = reduce_bs(system)
+    red = reduce_system(system)
     forms = list(red.linear)
-    for row in red.rows:
+    for row in red.components[0].rows:
         f = AffineForm.constant(sum(c for _, c in row.const.terms))
         for v, s in row.coeffs.items():
             f = f + AffineForm.var(v, sum(c for _, c in s.terms))
         forms.append(f)
-    return forms, list(red.zvars) + list(red.rvars)
+    return forms, list(system.variables) + red.evars
 
 
 def _decide_abelian_bs(system) -> Verdict:

@@ -1,15 +1,19 @@
 """Rewriting word equations into exponential-linear component systems.
 
-A BS(1,k) equation in variables X_1..X_n becomes one equation over the
-atomic Z[1/k] unknowns U_i (the first coordinates) whose coefficients are
-signed sums of k-power monomials with affine exponents in the second
-coordinates r_i, plus one linear equation over the r_i.
+Both families reduce to one ``ReducedSystem`` (``reduce_system`` picks the
+reducer): rows per coefficient component, linear forms in the exponent
+variables, and those variables.
 
-A wreath equation splits per coefficient component of A into polynomial
-equations over the lamp-polynomial unknowns f_i, with coefficients that are
-signed sums of t-power monomials with affine exponents in the shift
-variables x_i and the support offsets y_i, plus one shared linear equation
-over the x_i.
+A BS(1,k) equation in variables X_1..X_n becomes one row over the atomic
+Z[1/k] unknowns U_i (the first coordinates) whose coefficients are signed
+sums of k-power monomials with affine exponents in the second coordinates
+r_i, plus one linear form over the r_i.  Its rows are the one component -1.
+
+A wreath equation splits per coefficient component of A into rows over the
+lamp-polynomial unknowns f_i, with coefficients that are signed sums of
+t-power monomials with affine exponents in the shift variables x_i and the
+support offsets y_i, plus one shared linear form over the x_i.  Its exponent
+variables are the x_i, then the y_i.
 
 Both reductions read each equation once, as the letter runs of lhs rhs^-1,
 with a running prefix: the affine form of the shift (b- or t-exponent) so
@@ -31,7 +35,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .frontend import EquationSystem, Word
-from .groups import GroupSpec, lamp_index
+from .groups import lamp_index
 from .intlinalg import AffineForm
 
 
@@ -188,29 +192,21 @@ class Row(NamedTuple):
         return " + ".join(parts) + " = 0"
 
 
-class ExpLinSystem(NamedTuple):
-    """Reduced form of a BS system: exponential rows plus linear forms."""
-
-    k: int
-    rows: list[Row]
-    linear: list[AffineForm]
-    rvars: list[str]
-    zvars: list[str]
-
-
 class CompSystem(NamedTuple):
+    """The rows of one coefficient component: -1 for BS(1,k), whose ring is
+    Z[1/k]; a lamp component's index and modulus (None: Z) for A wr Z."""
+
     component: int
     mod: int | None
     rows: list[Row]
 
 
-class WreathSystem(NamedTuple):
-    spec: GroupSpec
+class ReducedSystem(NamedTuple):
+    """Reduced form of a system: component rows, linear forms, exponent variables."""
+
     components: list[CompSystem]
     linear: list[AffineForm]
-    xvars: list[str]
-    yvars: list[str]
-    fvars: list[str]
+    evars: list[str]
 
 
 def _equation_word(lhs: Word, rhs: Word) -> Word:
@@ -250,7 +246,16 @@ def yvar(x: str) -> str:
     return f"y_{x}"
 
 
-def reduce_bs(system: EquationSystem) -> ExpLinSystem:
+def reduce_system(system: EquationSystem) -> ReducedSystem:
+    """The reduced form of a system, by its family's reducer.  The reducer
+    is looked up in this module at each call, so a tracer that wraps
+    ``reduce_bs`` or ``reduce_wreath`` here sees every reduction."""
+    if system.spec.kind == "bs":
+        return reduce_bs(system)
+    return reduce_wreath(system)
+
+
+def reduce_bs(system: EquationSystem) -> ReducedSystem:
     """Exponential rows and linear forms of a BS(1,k) system, one pass per equation.
 
     The word lhs rhs^-1 is read run by run with a running prefix, the affine
@@ -289,16 +294,12 @@ def reduce_bs(system: EquationSystem) -> ExpLinSystem:
                 rows.append(row)
         if prefix.terms or prefix.const:
             linear.append(prefix)
-    return ExpLinSystem(
-        k=k,
-        rows=rows,
-        linear=linear,
-        rvars=[rvar(v) for v in system.variables],
-        zvars=list(system.variables),
+    return ReducedSystem(
+        [CompSystem(-1, None, rows)], linear, [rvar(v) for v in system.variables]
     )
 
 
-def reduce_wreath(system: EquationSystem) -> WreathSystem:
+def reduce_wreath(system: EquationSystem) -> ReducedSystem:
     """Per-component rows and the shared linear forms of an A wr Z system.
 
     The word lhs rhs^-1 is read run by run with a running prefix, the affine
@@ -343,15 +344,9 @@ def reduce_wreath(system: EquationSystem) -> WreathSystem:
             ).normalized()
             if row.coeffs or not row.const.is_zero():
                 rows.append(row)
-        components.append(CompSystem(component=comp, mod=mod, rows=rows))
-    return WreathSystem(
-        spec=spec,
-        components=components,
-        linear=shared_linear,
-        xvars=[xvar(v) for v in system.variables],
-        yvars=[yvar(v) for v in system.variables],
-        fvars=list(system.variables),
-    )
+        components.append(CompSystem(comp, mod, rows))
+    evars = [xvar(v) for v in system.variables] + [yvar(v) for v in system.variables]
+    return ReducedSystem(components, shared_linear, evars)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +403,13 @@ def _branch_key(branch: TriBranch) -> tuple:
     return tuple(sorted(lines))
 
 
-def triangularize(rows: list[Row], mod: int | None, branch_cap: int = 512) -> list[TriBranch]:
+# case-split branches a build keeps before it marks its coverage incomplete;
+# the rebuild that replays a certificate keeps as many
+BRANCH_CAP = 400
+
+
+def triangularize(rows: list[Row], mod: int | None,
+                  branch_cap: int = BRANCH_CAP) -> list[TriBranch]:
     """Case-split elimination; the union of branch solution sets covers the input.
 
     Branches that differ only in their path are kept once, the first found.

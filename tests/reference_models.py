@@ -192,24 +192,24 @@ def wreath_coords(elem, n_components: int):
     return comps, y, x
 
 
-def eval_bs_system(sys2, assignment: dict) -> bool:
+def eval_bs_system(spec, red, assignment: dict) -> bool:
     """Does a group assignment satisfy the reduced BS(1,k) system?  Exact."""
     renv = {rvar(v): g.r for v, g in assignment.items()}
-    for form in sys2.linear:
+    for form in red.linear:
         if form.evaluate(renv) != 0:
             return False
-    for row in sys2.rows:
-        total = row.const.eval_fraction(sys2.k, renv)
+    (comp,) = red.components
+    for row in comp.rows:
+        total = row.const.eval_fraction(spec.k, renv)
         for v, s in row.coeffs.items():
-            total += s.eval_fraction(sys2.k, renv) * assignment[v].u.as_fraction()
+            total += s.eval_fraction(spec.k, renv) * assignment[v].u.as_fraction()
         if total != 0:
             return False
     return True
 
 
-def eval_wreath_system(wsys, assignment: dict) -> bool:
+def eval_wreath_system(spec, wsys, assignment: dict) -> bool:
     """Does a group assignment satisfy the reduced wreath system?  Exact."""
-    spec = wsys.spec
     env: dict[str, int] = {}
     fcomp: dict[str, list[dict[int, int]]] = {}
     for v, g in assignment.items():

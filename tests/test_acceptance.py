@@ -28,7 +28,7 @@ from groupeq.groups import (
 )
 from groupeq.intlinalg import AffineForm, smith_normal_form
 from groupeq.oracle import SearchBall, brute_force_exp, brute_force_group
-from groupeq.reduce import reduce_bs, reduce_wreath
+from groupeq.reduce import reduce_system
 from groupeq.rings import LaurentPoly, RElem, ZkFrac
 from reference_models import d_matrix, det, eval_bs_system, eval_wreath_system, mat_mul
 
@@ -280,14 +280,14 @@ def test_criterion_5_reduction_soundness():
             system = _rand_group_system(rng, head, spec)
             if not system.variables:
                 continue
-            red = reduce_bs(system) if spec.kind == "bs" else reduce_wreath(system)
+            red = reduce_system(system)
             evalf = eval_bs_system if spec.kind == "bs" else eval_wreath_system
             for _ in range(200):
                 if spec.kind == "bs":
                     assignment = {v: _rand_bs(rng, spec.k, 3) for v in system.variables}
                 else:
                     assignment = {v: _rand_wreath(rng, spec, 3) for v in system.variables}
-                if evalf(red, assignment) != verify_witness(system, assignment):
+                if evalf(spec, red, assignment) != verify_witness(system, assignment):
                     fails += 1
             done += 1
     dt = time.monotonic() - t0

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -185,11 +186,48 @@ def test_verify_only_excludes_input(tmp_path):
     assert run(["--verify-only", str(rep), "-"], stdin=SAT).returncode == 64
 
 
-def test_debug_stages_emit_to_stderr():
-    r = run(["--debug-stage", "reduce", "--debug-stage", "tri",
-             "--debug-stage", "exp", "--debug-stage", "decide", "-"], stdin=SAT)
-    assert r.returncode == 0
-    assert "reduce" in r.stderr or "row" in r.stderr or r.stderr
+def test_verify_only_rejects_a_system_that_is_not_text(tmp_path):
+    rep = tmp_path / "r.json"
+    for system in (5, None):
+        rep.write_text(json.dumps({"system": system}))
+        r = run(["--verify-only", str(rep)])
+        assert r.returncode == 65, r.stderr
+        assert r.stderr.startswith("groupeq: report has no readable system")
+
+
+STAGES = ("reduce", "tri", "exp", "decide")
+
+
+def test_debug_stages_emit_to_stderr(capsys):
+    from groupeq import cli
+
+    flags = [arg for stage in STAGES for arg in ("--debug-stage", stage)]
+    corpus = sorted((pathlib.Path(__file__).parent / "corpus").glob("*.eq"))
+    assert len(corpus) > 40
+    for path in corpus:
+        code = cli.main(flags + ["--budget-steps", "2", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (path.name, err)
+        for stage in STAGES:
+            assert f"# stage {stage} (" in err, (path.name, stage)
+
+
+def test_debug_tri_reports_the_branch_cap(tmp_path, capsys):
+    from groupeq import cli
+
+    # seven commutations split into more than BRANCH_CAP branches
+    pairs = ["X Y", "X Z", "Y Z", "X W", "Y W", "Z W", "X V"]
+    f = tmp_path / "wide.eq"
+    f.write_text("group wreath Z^1\n" + "".join(f"{p} = {p[::-1]}\n" for p in pairs))
+    assert cli.main(["--debug-stage", "tri", "--budget-steps", "1", str(f)]) == 2
+    assert "component 0:\n  (branch cap hit)\n" in capsys.readouterr().err
+
+
+def test_debug_exp_on_bs1_names_the_linear_solve():
+    r = run(["--debug-stage", "exp", "-"], stdin="group BS 1\nX^2 = a^3\n")
+    assert r.returncode == 1
+    assert "no case split, one linear solve decides it" in r.stderr
+    assert "open branch" not in r.stderr
 
 
 def test_debug_exp_lists_dead_residual_branch():

@@ -688,7 +688,7 @@ def test_refinement_frontier_is_crt_consistent():
     """Frontier residues stay mutually consistent across the modulus chain."""
     system = parse_system("group BS 2\nX^2 = a^3")
     red = reduce_bs(system)
-    branch = [b for b in triangularize(red.rows, list(red.zvars)) if b.path != "z"][0]
+    branch = [b for b in triangularize(red.components[0].rows, None) if b.path != "z"][0]
     search = _BsSearch(branch.pivots, branch.residuals, ["r_X"], 2, prime_powers_coprime(2))
     seen_mods = {}
     for _ in range(4):

@@ -18,6 +18,7 @@ from groupeq.reduce import (
     TriBranch,
     _branch_key,
     reduce_bs,
+    reduce_system,
     reduce_wreath,
     triangularize,
 )
@@ -27,8 +28,9 @@ from reference_models import eval_bs_system, eval_wreath_system, wreath_coords
 def test_reduce_bs_identity_equation():
     red = reduce_bs(parse_system("group BS 2\nX = 1"))
     # one row pinning the ring part, one linear form pinning the exponent
-    assert len(red.rows) == 1
-    (row,) = red.rows
+    (bs,) = red.components
+    assert (bs.component, bs.mod, red.evars) == (-1, None, ["r_X"])
+    (row,) = bs.rows
     assert set(row.coeffs) == {"X"}
     assert row.const.is_zero()
     assert [f.render() for f in red.linear] == ["r_X"]
@@ -37,8 +39,7 @@ def test_reduce_bs_identity_equation():
 def test_reduce_bs_conjugation_collapses_to_pure_residual():
     red = reduce_bs(parse_system("group BS 2\nX^-1 a X = a^3"))
     assert red.linear == []
-    assert len(red.rows) == 1
-    (row,) = red.rows
+    (row,) = red.components[0].rows
     assert row.coeffs == {}
     # the constant side is 2^(r_X) - 3: zero exactly when 2^r = 3
     for r in range(-4, 5):
@@ -49,7 +50,7 @@ def test_reduce_bs_conjugation_collapses_to_pure_residual():
 def test_reduce_bs_defining_relation_vanishes():
     for k in (2, 3, 5):
         red = reduce_bs(parse_system(f"group BS {k}\nb^-1 a b = a^{k}"))
-        assert red.rows == []
+        assert red.components[0].rows == []
         assert red.linear == []
 
 
@@ -60,7 +61,7 @@ def test_reduce_wreath_commutator_drops_lamp_unknown():
     assert len(w.components) == 1
     # solution set: any lamp configuration with shift zero
     for g in ball_elements(s.spec, 2):
-        assert eval_wreath_system(w, {"X": g}) == (g.shift == 0)
+        assert eval_wreath_system(s.spec, w, {"X": g}) == (g.shift == 0)
         assert verify_witness(s, {"X": g}) == (g.shift == 0)
 
 
@@ -70,6 +71,7 @@ def test_reduce_wreath_component_count_matches_rank():
     w2 = reduce_wreath(parse_system("group wreath Z^1 x Z_2 x Z_3\nX = a1"))
     assert len(w2.components) == 3
     assert [c.mod for c in w2.components] == [None, 2, 3]
+    assert w2.evars == ["x_X", "y_X"]
 
 
 def test_reduce_wreath_trivial_equation_empty():
@@ -123,16 +125,16 @@ def test_reduction_soundness_randomized():
             s = _rand_system(rng, head, spec, rng.randint(1, 2), rng.randint(1, 2))
             if not s.variables:
                 continue
-            red = reduce_bs(s) if spec.kind == "bs" else reduce_wreath(s)
+            red = reduce_system(s)
             evalf = eval_bs_system if spec.kind == "bs" else eval_wreath_system
             for _ in range(30):
                 assignment = {v: rng.choice(points) for v in s.variables}
-                assert evalf(red, assignment) == verify_witness(s, assignment)
+                assert evalf(spec, red, assignment) == verify_witness(s, assignment)
 
 
 def test_triangularize_single_unknown_single_branch():
     red = reduce_bs(parse_system("group BS 2\nX = a"))
-    branches = triangularize(red.rows, None)
+    branches = triangularize(red.components[0].rows, None)
     assert len(branches) == 1
     (br,) = branches
     assert [u for u, _ in br.pivots] == ["X"]
@@ -141,7 +143,7 @@ def test_triangularize_single_unknown_single_branch():
 
 def test_triangularize_idempotent_pair_one_branch():
     red = reduce_bs(parse_system("group BS 2\nX = a\nX = a"))
-    branches = triangularize(red.rows, None)
+    branches = triangularize(red.components[0].rows, None)
     assert len(branches) == 1
     (br,) = branches
     assert len(br.pivots) == 1
@@ -398,14 +400,13 @@ def test_run_reduction_equals_unit_letter_reference():
             system = EquationSystem(spec=spec, equations=equations, variables=variables)
             if spec.kind == "bs":
                 rows, linear = _reference_reduce_bs(system)
-                red = reduce_bs(system)
-                assert [_row_layout(r) for r in red.rows] == [_row_layout(r) for r in rows]
+                components = [(-1, None, rows)]
             else:
                 components, linear = _reference_reduce_wreath(system)
-                red = reduce_wreath(system)
-                got = [(c.component, c.mod, [_row_layout(r) for r in c.rows])
-                       for c in red.components]
-                assert got == [(c, m, [_row_layout(r) for r in rs]) for c, m, rs in components]
+            red = reduce_system(system)
+            got = [(c.component, c.mod, [_row_layout(r) for r in c.rows])
+                   for c in red.components]
+            assert got == [(c, m, [_row_layout(r) for r in rs]) for c, m, rs in components]
             assert red.linear == linear, (head, equations)
 
 
@@ -417,7 +418,7 @@ def _reference_pivot_score(s, mod):
     return (2, len(s.terms))
 
 
-def _reference_triangularize(rows, mod, branch_cap=512):
+def _reference_triangularize(rows, mod, branch_cap=400):
     """The case split keyed by each branch's rendered, line-sorted text.
 
     Returns the branches and the number of duplicates it dropped."""
@@ -542,11 +543,10 @@ def test_long_runs_reduce_and_decide_quickly():
     for head in ("group BS 2", "group wreath Z^1"):
         system = parse_system(f"{head}\nX^2 = a^99998")
         start = time.monotonic()
-        red = reduce_bs(system) if system.spec.kind == "bs" else reduce_wreath(system)
+        red = reduce_system(system)
         verdict = decide(system, Budget(steps=2))
         assert time.monotonic() - start < 0.5, head
-        rows = red.rows if system.spec.kind == "bs" else red.components[0].rows
-        assert [len(row.const.terms) for row in rows] == [1]
+        assert [len(row.const.terms) for row in red.components[0].rows] == [1]
         assert verdict.status == "sat"
         assert verify_witness(system, verdict.witness)
 
