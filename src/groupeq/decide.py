@@ -9,9 +9,9 @@ Every branch is attacked from two sides at once:
 
 * a witness search accepts an assignment lifted from branch solutions when
   ``groups.verify_witness`` does, the exact re-multiplication that
-  ``--verify-only`` also runs.  A lift solves each pivot row
-  coef * X = -rest for its unknown X by exact division in Z[1/k],
-  Z[t, t^-1] or Z_n[t, t^-1]: a root X^n = w is lifted when
+  ``--verify-only`` also runs.  One lift (``_lift``) solves each pivot row
+  coef * X = -rest for its unknown X by exact division in its part's ring,
+  Z[1/k], Z[t, t^-1] or Z_n[t, t^-1]: a root X^n = w is lifted when
   1 + t^x + ... + t^((n-1)x) divides the lamps of w.  A retry solves a row
   that does not divide for an unknown without a pivot, or for both by
   Bezout (Z[1/k], Z_p[t, t^-1]);
@@ -29,10 +29,12 @@ projection to Z_p[t] per round, primes ascending.
 
 Every Unsat verdict ships a certificate that can be replayed independently
 of the search that found it.  A ``Budget`` (``steps``, ``max_prime_power``,
-``max_monic_degree``, ``time_limit``, ``candidates_per_step``) and three
-fixed caps (``BRANCH_CAP`` case-split branches, ``NODE_CAP`` refinement
-nodes and ``WORK_CAP`` units of work per level) make each run terminate;
-running out of budget yields Unknown, never a wrong answer.
+``max_monic_degree``, ``time_limit``, ``candidates_per_step``) and four
+fixed caps make each run terminate: ``BRANCH_CAP`` case-split branches per
+build (defined in ``reduce``), and, defined here, ``NODE_CAP`` refinement
+nodes and ``WORK_CAP`` units of work per level and ``ATTEMPT_LEVELS``
+refinement rounds on a dead residual system.  Running out of budget yields
+Unknown, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -97,14 +99,14 @@ class Budget(NamedTuple):
 
     Five fields: ``steps``, ``max_prime_power``, ``max_monic_degree``,
     ``time_limit`` and ``candidates_per_step`` (lifted candidates checked
-    per round).  Two caps are
-    constants rather than fields: a build keeps at most ``BRANCH_CAP``
-    case-split branches, and a refinement level at most ``NODE_CAP`` nodes
-    (and ``WORK_CAP`` units of work); certificate replay uses the same node
-    cap, so a chain replays as the search saw it.  The refinement that
-    certifies a dead residual branch runs only when ``decide`` returns unsat,
-    for at most ``ATTEMPT_LEVELS`` rounds, within ``max_prime_power`` and
-    ``max_monic_degree``.
+    per round).  Four caps are constants rather than fields: a build keeps
+    at most ``BRANCH_CAP`` case-split branches (defined in ``reduce``), and,
+    defined in this module, a refinement level at most ``NODE_CAP`` nodes
+    and ``WORK_CAP`` units of work, and the refinement that certifies a
+    dead residual branch runs for at most ``ATTEMPT_LEVELS`` rounds.
+    Replay uses the same caps, so a chain replays as the search saw it.
+    That refinement runs only when ``decide`` returns unsat, within
+    ``max_prime_power`` and ``max_monic_degree``.
     """
 
     steps: int = 48                  # scheduler rounds per procedure
@@ -837,34 +839,6 @@ def _zk_bezout(k: int, a: Fraction, b: Fraction, c: Fraction):
     return tuple(Fraction(x, e) for x in sol.particular) if sol.status == "ok" else None
 
 
-def _lift_bs(system, final: FinalBranch, k: int, env: dict, choice=None):
-    """``_back_substitute`` over Z[1/k] at the parameters env, or None."""
-
-    def ev(s: ExpSum) -> Fraction:
-        return s.eval_fraction(k, env)
-
-    def rest(row, u, assigned) -> Fraction:
-        known = [ev(s) * assigned[v] for v, s in row.coeffs.items() if v != u and v in assigned]
-        return -ev(row.const) - sum(known)
-
-    def divide(num: Fraction, coef: Fraction):
-        if coef and ZkFrac.from_fraction(q := num / coef, k) is not None:
-            return q
-        return None
-
-    bezout = functools.partial(_zk_bezout, k)
-    assigned = _back_substitute(final.parts[0].pivots, ev, rest, divide, bezout, choice)
-    if assigned is None:
-        return None
-    return {
-        name: BsElement(
-            ZkFrac.from_fraction(assigned.get(name, Fraction(0)), k),
-            final.varmap[rvar(name)].evaluate(env),
-        )
-        for name in system.variables
-    }
-
-
 def _laurent_bezout(p: int, a: dict, b: dict, c: dict):
     """(u, v) with a*u + b*v == c over Z_p[t, t^-1], p prime, or None.  t is a
     unit, so each {degree: coefficient} dict is shifted to a polynomial with
@@ -880,51 +854,81 @@ def _laurent_bezout(p: int, a: dict, b: dict, c: dict):
     return tuple({lows[2] - low + i: x for i, x in enumerate(f) if x} for low, f in zip(lows, solved))
 
 
-def _lift_wreath(system, final: FinalBranch, spec, env: dict, choice=None):
-    """``_back_substitute`` in every part at the parameters env, ``choice``
-    in each, or None: a row divides by exact Laurent division
-    (``_laurent_div``) over Z[t, t^-1] or Z_n[t, t^-1], and a pair is solved
-    by ``_laurent_bezout`` for prime n."""
+def _zk_ring(k: int, env: dict):
+    """Z[1/k] at the parameters env for ``_back_substitute``: Fractions, a
+    quotient that lies in Z[1/k], and ``_zk_bezout``."""
+
+    def ev(s: ExpSum) -> Fraction:
+        return s.eval_fraction(k, env)
+
+    def rest(row, u, assigned) -> Fraction:
+        known = [ev(s) * assigned[v] for v, s in row.coeffs.items() if v != u and v in assigned]
+        return -ev(row.const) - sum(known)
+
+    def divide(num: Fraction, coef: Fraction):
+        if coef and ZkFrac.from_fraction(q := num / coef, k) is not None:
+            return q
+        return None
+
+    return ev, rest, divide, functools.partial(_zk_bezout, k)
+
+
+def _laurent_ring(mod: int | None, env: dict):
+    """Z[t, t^-1] (mod None) or Z_mod[t, t^-1] at the parameters env for
+    ``_back_substitute``: {degree: coefficient} dicts, ``_laurent_div``, and
+    ``_laurent_bezout`` for a prime modulus."""
 
     def ev(s: ExpSum) -> dict:
         return s.eval_laurent(env)
 
-    per_comp: dict[tuple[str, int], dict[int, int]] = {}
+    def rest(row, u, assigned) -> dict:
+        acc = dict(ev(row.const))
+        for w, s in row.coeffs.items():
+            if w != u and w in assigned:
+                for dd, cc in ev(s).items():
+                    for dw, cw in assigned[w].items():
+                        acc[dd + dw] = acc.get(dd + dw, 0) + cc * cw
+        return {d: -c for d, c in acc.items() if (c if mod is None else c % mod)}
+
+    divide = functools.partial(_laurent_div, mod=mod)
+    bezout = functools.partial(_laurent_bezout, mod) if is_prime(mod) else None
+    return ev, rest, divide, bezout
+
+
+def _lift(system, final: FinalBranch, env: dict, choice=None):
+    """``_back_substitute`` in every part at the parameters env, ``choice``
+    in each, over the part's ring (``_zk_ring`` for component -1, else
+    ``_laurent_ring``), as the family's elements, or None."""
+    spec = system.spec
+    values = {}
     for part in final.parts:
-        mod = part.mod
-
-        def rest(row, u, assigned) -> dict:
-            acc = dict(ev(row.const))
-            for w, s in row.coeffs.items():
-                if w != u and w in assigned:
-                    for dd, cc in ev(s).items():
-                        for dw, cw in assigned[w].items():
-                            acc[dd + dw] = acc.get(dd + dw, 0) + cc * cw
-            return {d: -c for d, c in acc.items() if (c if mod is None else c % mod)}
-
-        divide = functools.partial(_laurent_div, mod=mod)
-        bezout = functools.partial(_laurent_bezout, mod) if is_prime(mod) else None
-        assigned = _back_substitute(part.pivots, ev, rest, divide, bezout, choice)
+        ring = _zk_ring(spec.k, env) if part.component < 0 else _laurent_ring(part.mod, env)
+        assigned = _back_substitute(part.pivots, *ring, choice)
         if assigned is None:
             return None
-        for name in system.variables:
-            per_comp[(name, part.component)] = assigned.get(name, {})
+        values[part.component] = assigned
+    if spec.kind == "bs":
+        return {
+            name: BsElement(
+                ZkFrac.from_fraction(values[-1].get(name, Fraction(0)), spec.k),
+                final.varmap[rvar(name)].evaluate(env),
+            )
+            for name in system.variables
+        }
     m, orders = spec.free_rank, spec.torsion
     out = {}
     for name in system.variables:
+        lamps = [values[c].get(name, {}) for c in range(spec.n_components)]
         y = final.varmap[yvar(name)].evaluate(env)
-        x = final.varmap[xvar(name)].evaluate(env)
-        degs = sorted(
-            {d for c in range(spec.n_components) for d in per_comp[(name, c)]}
-        )
         # quotients hold only nonzero, reduced coefficients, so the sorted
         # items are already in canonical form
-        items = []
-        for d in degs:
-            free = tuple(per_comp[(name, c)].get(d, 0) for c in range(m))
-            tors = tuple(per_comp[(name, m + j)].get(d, 0) for j in range(len(orders)))
-            items.append((d - y, RElem(free, tors, orders)))
-        out[name] = WreathElement(LaurentPoly(tuple(items), m, orders), x)
+        items = [
+            (d - y, RElem(tuple(f.get(d, 0) for f in lamps[:m]),
+                          tuple(f.get(d, 0) for f in lamps[m:]), orders))
+            for d in sorted({d for f in lamps for d in f})
+        ]
+        out[name] = WreathElement(LaurentPoly(tuple(items), m, orders),
+                                  final.varmap[xvar(name)].evaluate(env))
     return out
 
 
@@ -936,7 +940,7 @@ def _multi_term_pivots(final: FinalBranch) -> list:
             if len(row.coeffs[u].terms) != 1]
 
 
-def _lifts(system, k, finals):
+def _lifts(system, finals):
     """Assignments suggested by the final branches, small parameters first.
 
     ``finals`` may be a stream: the plain lifts of each branch are yielded
@@ -948,15 +952,11 @@ def _lifts(system, k, finals):
     system that an earlier phase decides keeps that witness.  A lift equal
     to an earlier one is skipped.
     """
-    spec = system.spec
     seen = set()
     late, failed = [], []
 
     def lift(final, env, choice=None):
-        if spec.kind == "bs":
-            cand = _lift_bs(system, final, k, env, choice)
-        else:
-            cand = _lift_wreath(system, final, spec, env, choice)
+        cand = _lift(system, final, env, choice)
         if cand is None:
             if choice is None:
                 failed.append((final, env))
@@ -974,7 +974,9 @@ def _lifts(system, k, finals):
             grids = itertools.product(range(3), repeat=nparams)
         else:
             grids = [(0,) * nparams]
-        multi = _multi_term_pivots(final) if spec.kind == "wreath" else []
+        # every value of Z[1/k] (component -1) is one monomial c * k^d, so
+        # only a branch over Laurent parts has late points
+        multi = [] if any(p.component < 0 for p in final.parts) else _multi_term_pivots(final)
         for grid in grids:
             env = dict(zip(final.params, grid))
             if all(len(s.eval_laurent(env)) == 1 for s in multi):
@@ -1112,7 +1114,7 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
 
     stream = _building(system, deadline)
     build = next(stream)
-    p1 = _WitnessSearch(system, _lifts(system, build.k, _finals(build, stream)))
+    p1 = _WitnessSearch(system, _lifts(system, _finals(build, stream)))
     # round 1's witness step checks the lifted branch solutions, the cheapest
     # witnesses: each final branch's plain lifts as soon as the build yields
     # it, before refinement, up to the round's ``candidates_per_step``

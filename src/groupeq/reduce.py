@@ -4,23 +4,24 @@ Both families reduce to one ``ReducedSystem`` (``reduce_system`` picks the
 reducer): rows per coefficient component, linear forms in the exponent
 variables, and those variables.
 
-A BS(1,k) equation in variables X_1..X_n becomes one row over the atomic
-Z[1/k] unknowns U_i (the first coordinates) whose coefficients are signed
-sums of k-power monomials with affine exponents in the second coordinates
-r_i, plus one linear form over the r_i.  Its rows are the one component -1.
+Both groups are lamps under a shift, and one reader (``_read``) rewrites
+both: BS(1,k) is read as Z wr Z with t = k^-1.  An A wr Z equation splits
+per coefficient component of A into rows over the lamp-polynomial unknowns
+f_i, with coefficients that are signed sums of t-power monomials with affine
+exponents in the shift variables x_i and the support offsets y_i, plus one
+shared linear form over the x_i.  Its exponent variables are the x_i, then
+the y_i.  A BS(1,k) equation is one row of the one component -1 over the
+atomic Z[1/k] unknowns U_i, with k-power monomials whose affine exponents
+are in the second coordinates r_i (b is the shift, a the one lamp, and
+there is no support offset), plus one linear form over the r_i.
 
-A wreath equation splits per coefficient component of A into rows over the
-lamp-polynomial unknowns f_i, with coefficients that are signed sums of
-t-power monomials with affine exponents in the shift variables x_i and the
-support offsets y_i, plus one shared linear form over the x_i.  Its exponent
-variables are the x_i, then the y_i.
-
-Both reductions read each equation once, as the letter runs of lhs rhs^-1,
-with a running prefix: the affine form of the shift (b- or t-exponent) so
-far.  A generator run a^m is one term with coefficient m and a run t^m or
-b^m one shift of the prefix, so the cost does not grow with m; only an
-unknown's run X^e gives e terms, one per unit letter.  ``ExpSum.make``
-merges equal exponent forms, so the rows are those of the unit letters.
+The reader reads each equation once, as the letter runs of lhs rhs^-1,
+with a running prefix: the affine form of the shift so far, negated for
+BS(1,k), where the rows' base k is the shift's inverse.  A lamp run a^m is
+one term with coefficient m and a shift run t^m or b^m one shift of the
+prefix, so the cost does not grow with m; only an unknown's run X^e gives
+e terms, one per unit letter.  ``ExpSum.make`` merges equal exponent forms,
+so the rows are those of the unit letters.
 
 The triangularization lives here too; the downstream search procedures
 consume the branches this module produces.  It keeps one branch per
@@ -98,20 +99,11 @@ class ExpSum(NamedTuple):
                 items.append((f1 + f2, c1 * c2))
         return ExpSum.make(items, self.mod)
 
-    def scale(self, s: int) -> "ExpSum":
-        return ExpSum.make([(f, c * s) for f, c in self.terms], self.mod)
-
     def substitute(self, env: dict[str, AffineForm]) -> "ExpSum":
         return ExpSum.make([(f.substitute(env), c) for f, c in self.terms], self.mod)
 
     def single(self) -> tuple[AffineForm, int] | None:
         return self.terms[0] if len(self.terms) == 1 else None
-
-    def variables(self) -> set[str]:
-        out: set[str] = set()
-        for f, _ in self.terms:
-            out.update(f.variables())
-        return out
 
     def eval_fraction(self, k: int, env: dict[str, int]) -> Fraction:
         total = Fraction(0)
@@ -214,26 +206,6 @@ def _equation_word(lhs: Word, rhs: Word) -> Word:
     return lhs + tuple((name, -exp) for name, exp in reversed(rhs))
 
 
-def _unknown_run(prefix: AffineForm, step: AffineForm, e: int):
-    """Where the |e| unit letters of X^e stand, and the prefix after them.
-
-    step is X's shift variable.  A unit letter X stands at the prefix before
-    it, a unit letter X^-1 at the prefix after it, so each of the |e| letters
-    gives one term: X^e with e > 0 at prefix + j*step (j = 0..e-1), with
-    e < 0 at prefix - j*step (j = 1..|e|).
-    """
-    at = []
-    if e > 0:
-        for _ in range(e):
-            at.append(prefix)
-            prefix = prefix + step
-    else:
-        for _ in range(-e):
-            prefix = prefix - step
-            at.append(prefix)
-    return at, prefix
-
-
 def rvar(x: str) -> str:
     return f"r_{x}"
 
@@ -255,87 +227,55 @@ def reduce_system(system: EquationSystem) -> ReducedSystem:
     return reduce_wreath(system)
 
 
-def reduce_bs(system: EquationSystem) -> ReducedSystem:
-    """Exponential rows and linear forms of a BS(1,k) system, one pass per equation.
+def _read(system: EquationSystem, lamps: dict, t: int, svar, offset, rings):
+    """The rows of every component and the linear forms of a system, one
+    pass per equation over the letter runs of lhs rhs^-1.
 
-    The word lhs rhs^-1 is read run by run with a running prefix, the affine
-    form of the b-exponent so far.  a = (1, 0) and b = (0, 1), so a run a^m
-    adds the one constant term m * k^-prefix and a run b^m shifts the
-    prefix by m; an unknown's run X^e adds one term per unit letter.
+    ``lamps`` maps each generator to the lamp component it moves, or None
+    for the shift letter.  The running prefix is the exponent of the rows'
+    base so far: a shift run s^m moves it by t * m, where t is 1 if the base
+    is the shift and -1 if it is the shift's inverse.  A lamp run a^m adds
+    the one constant term m * base^prefix to its component.  A unit letter
+    X moves the prefix by step = t * ``svar(X)``, and a run X^e adds one
+    term sign(e) * base^(pos - offset(X)) per unit letter, at the prefix
+    before each letter X and after each letter X^-1: the positions are
+    lo, lo + step, ..., where lo is the prefix before the run if e > 0 and
+    after it if e < 0.  ``offset`` None means no support offset.  ``rings``
+    lists the components as (index, modulus); a row that reads 0 = 0 is
+    dropped.
     """
-    k = system.spec.k
-    rows: list[Row] = []
-    linear: list[AffineForm] = []
-    for lhs, rhs in system.equations:
-        prefix = AffineForm.constant(0)
-        zterms: dict[str, list] = {}
-        cterms: list = []
-        for name, e in _equation_word(lhs, rhs):
-            if name[0].isupper():
-                at, prefix = _unknown_run(prefix, AffineForm.var(rvar(name)), e)
-                sign = 1 if e > 0 else -1
-                zterms.setdefault(name, []).extend((-f, sign) for f in at)
-            elif name == "b":
-                prefix = prefix.shift(e)
-            else:
-                cterms.append((-prefix, e))
-        row = Row(
-            {v: ExpSum.make(items) for v, items in zterms.items()},
-            ExpSum.make(cterms),
-        ).normalized()
-        if row.coeffs or not row.const.is_zero():
-            # variable-free identities (e.g. the defining relation) fold to 0 = 0
-            vacuous = (
-                not row.coeffs
-                and all(f.is_const() for f, _ in row.const.terms)
-                and row.const.eval_fraction(k, {}) == 0
-            )
-            if not vacuous:
-                rows.append(row)
-        if prefix.terms or prefix.const:
-            linear.append(prefix)
-    return ReducedSystem(
-        [CompSystem(-1, None, rows)], linear, [rvar(v) for v in system.variables]
-    )
-
-
-def reduce_wreath(system: EquationSystem) -> ReducedSystem:
-    """Per-component rows and the shared linear forms of an A wr Z system.
-
-    The word lhs rhs^-1 is read run by run with a running prefix, the affine
-    form of the t-exponent so far.  Each generator name is resolved once per
-    system to the lamp component it moves (None for t): a run t^m shifts the
-    prefix by m, a lamp run adds the one term m * t^prefix to its component,
-    and an unknown's run X^e adds one term per unit letter.
-    """
-    spec = system.spec
-    lamps = {name: lamp_index(spec, name) for name in spec.generator_names()}
-    shared_linear: list[AffineForm] = []
-    # per equation: unknown terms, and constant terms (form, component, coef)
-    raw: list[tuple[dict[str, list], list]] = []
+    raw, linear = [], []
     for lhs, rhs in system.equations:
         prefix = AffineForm.constant(0)
         fterms: dict[str, list] = {}
         cterms: list = []
         for name, e in _equation_word(lhs, rhs):
             if name[0].isupper():
-                at, prefix = _unknown_run(prefix, AffineForm.var(xvar(name)), e)
                 sign = 1 if e > 0 else -1
-                neg_yv = AffineForm.var(yvar(name), -1)
-                fterms.setdefault(name, []).extend((f + neg_yv, sign) for f in at)
+                end = prefix + AffineForm.var(svar(name), t * e)
+                pos = prefix if e > 0 else end
+                if offset is not None:
+                    pos = pos + AffineForm.var(offset(name), -1)
+                terms = fterms.setdefault(name, [])
+                terms.append((pos, sign))
+                if abs(e) > 1:
+                    step = AffineForm.var(svar(name), t)
+                    for _ in range(abs(e) - 1):
+                        pos = pos + step
+                        terms.append((pos, sign))
+                prefix = end
             else:
                 comp = lamps[name]
                 if comp is None:
-                    prefix = prefix.shift(e)
+                    prefix = prefix.shift(t * e)
                 else:
                     cterms.append((prefix, comp, e))
         raw.append((fterms, cterms))
         if prefix.terms or prefix.const:
-            shared_linear.append(prefix)
+            linear.append(prefix if t == 1 else -prefix)
 
     components: list[CompSystem] = []
-    for comp in range(spec.n_components):
-        mod = spec.component_modulus(comp)
+    for comp, mod in rings:
         rows = []
         for fterms, cterms in raw:
             row = Row(
@@ -345,8 +285,42 @@ def reduce_wreath(system: EquationSystem) -> ReducedSystem:
             if row.coeffs or not row.const.is_zero():
                 rows.append(row)
         components.append(CompSystem(comp, mod, rows))
+    return components, linear
+
+
+def reduce_bs(system: EquationSystem) -> ReducedSystem:
+    """A BS(1,k) system read as one over Z wr Z with t = k^-1.
+
+    b is the shift and a the one lamp, component -1 over Z[1/k]; an unknown
+    X = (U_X, r_X) has the shift variable r_X and no support offset.  The
+    rows' base is k, so the prefix is the negated b-exponent, and the linear
+    forms are the b-exponents.  Rows without unknowns that vanish in
+    Z[1/k], such as the defining relation, are dropped too.
+    """
+    k = system.spec.k
+    (comp,), linear = _read(system, {"a": -1, "b": None}, -1, rvar, None, [(-1, None)])
+    rows = [
+        row for row in comp.rows
+        if row.coeffs
+        or not all(f.is_const() for f, _ in row.const.terms)
+        or row.const.eval_fraction(k, {}) != 0
+    ]
+    return ReducedSystem(
+        [CompSystem(-1, None, rows)], linear, [rvar(v) for v in system.variables]
+    )
+
+
+def reduce_wreath(system: EquationSystem) -> ReducedSystem:
+    """Per-component rows and the shared linear forms of an A wr Z system:
+    t is the shift and the rows' base, each other generator a lamp of its
+    component, and an unknown X has the shift variable x_X and the support
+    offset y_X (its lamps are t^-y_X f_X)."""
+    spec = system.spec
+    lamps = {name: lamp_index(spec, name) for name in spec.generator_names()}
+    rings = [(c, spec.component_modulus(c)) for c in range(spec.n_components)]
+    components, linear = _read(system, lamps, 1, xvar, yvar, rings)
     evars = [xvar(v) for v in system.variables] + [yvar(v) for v in system.variables]
-    return ReducedSystem(components, shared_linear, evars)
+    return ReducedSystem(components, linear, evars)
 
 
 # ---------------------------------------------------------------------------

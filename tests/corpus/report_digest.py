@@ -1,7 +1,7 @@
 """Print a digest of every report the solver writes for a fixed set of inputs.
 
-One line per input, ``name report contract``, and one more per sat input
-(below).  ``report`` is the sha256 of the ``--format json`` report without
+One line per input, ``name report contract``, and one more per input whose
+report carries a witness or a certificate (below).  ``report`` is the sha256 of the ``--format json`` report without
 its ``timing`` field (stats and key order included); ``contract`` is the
 sha256 of its verdict, witness and certificate only.  The inputs are the corpus instances under the default
 Budget, then the ``commute`` and ``powers`` systems of every seed given as
@@ -9,11 +9,13 @@ an argument, under that workload's Budget (``perfbench/workloads.py``,
 imported and never modified).  Two solvers that differ only in speed print
 the same lines, so comparing a change with its parent is a diff; a change
 that moves only search counters differs in the ``report`` column alone.
-After each sat input a second line, ``name verify answer | tampered``, holds
-the ``--verify-only`` answer on its report and on a copy whose system was
-tampered as the benchmark's audit workload does (``perfbench/run.py``
+After each input whose report carries a witness or a certificate (every
+sat and every unsat one) a second line, ``name verify answer | tampered``,
+holds the ``--verify-only`` answer on its report and on a copy whose system
+was tampered as the benchmark's audit workload does (``perfbench/run.py``
 ``_tamper``), so the diff also covers the verifier's accept and reject
-decisions.  The answer is the output lines of ``groupeq.cli.verify_lines``,
+decisions: the re-multiplication of each witness and the replay of each
+certificate.  The answer is the output lines of ``groupeq.cli.verify_lines``,
 the function ``--verify-only`` prints, joined by ``; ``:
 
     PYTHONPATH=src python tests/corpus/report_digest.py 1 2 3 > change.txt
@@ -75,11 +77,12 @@ def _answer(report: dict) -> str:
 
 
 def digest(text: str, budget: Budget) -> tuple[str, str, str | None]:
-    """The report and contract hashes, and for a sat report the verifier line."""
+    """The report and contract hashes, and the verifier line for a report
+    with a witness or a certificate."""
     system = parse_system(text)
     report = build_report(system, decide(system, budget), budget, 0.0)
     verify = None
-    if report["verdict"] == "sat":
+    if report["witness"] is not None or report["certificate"] is not None:
         verify = f"{_answer(report)} | {_answer(_tamper(report))}"
     del report["timing"]
     contract = {key: report[key] for key in ("verdict", "witness", "certificate")}

@@ -18,8 +18,7 @@ from groupeq.decide import (
     _cert_rows,
     _finals,
     _laurent_div,
-    _lift_bs,
-    _lift_wreath,
+    _lift,
     _lifts,
     _monics,
     _multi_term_pivots,
@@ -355,7 +354,7 @@ def test_zero_lift_of_binomial_pivot():
     vanishes; such a system used to wait for refinement and the balls."""
     system = parse_system("group wreath Z^0 x Z_3\nY t Z X^-1 = X^-1 Z t Y")
     build = _build(system)
-    assert list(_lifts(system, build.k, build.finals))
+    assert list(_lifts(system, build.finals))
     v = decide(system)
     assert v.status == "sat"
     assert _rendered(system, v.witness) == {"X": "{} | 0", "Y": "{} | 0", "Z": "{} | 0"}
@@ -565,11 +564,8 @@ def _listed_lifts(system, build, retry=True):
     plain, late, failed = [], [], {True: [], False: []}
     for final in build.finals:
         for env in _grid_envs(final):
-            if build.kind == "bs":
-                cand, monomial = _lift_bs(system, final, build.k, env), True
-            else:
-                cand = _lift_wreath(system, final, system.spec, env)
-                monomial = _every_pivot_monomial(final, env)
+            cand = _lift(system, final, env)
+            monomial = build.kind == "bs" or _every_pivot_monomial(final, env)
             if cand is None:
                 failed[monomial].append((final, env))
             else:
@@ -577,10 +573,7 @@ def _listed_lifts(system, build, retry=True):
     retried = []
     for final, env in failed[True] + failed[False] if retry else ():
         for choice in itertools.product(system.variables, (False, True)):
-            if build.kind == "bs":
-                retried.append(_lift_bs(system, final, build.k, env, choice))
-            else:
-                retried.append(_lift_wreath(system, final, system.spec, env, choice))
+            retried.append(_lift(system, final, env, choice))
     seen, out = set(), []
     for cand in plain + late + retried:
         if cand is None:
@@ -603,9 +596,9 @@ def test_lift_stream_yields_the_listed_lifts():
         listed = _listed_lifts(system, build)
         stream = _building(system)
         partial = next(stream)
-        streamed = list(_lifts(system, partial.k, _finals(partial, stream)))
+        streamed = list(_lifts(system, _finals(partial, stream)))
         assert streamed == listed, render_system(system)
-        assert list(_lifts(system, build.k, build.finals)) == listed
+        assert list(_lifts(system, build.finals)) == listed
         assert len(partial.finals) == len(build.finals)
         late_seen += any(
             not _every_pivot_monomial(f, env)
@@ -878,7 +871,7 @@ def test_every_lift_is_a_witness():
             if not system.variables:
                 continue
             build = _build(system)
-            for cand in _lifts(system, build.k, build.finals):
+            for cand in _lifts(system, build.finals):
                 assert verify_witness(system, cand), (render_system(system), cand)
                 tally["lifted"] += 1
             tally["systems"] += 1
@@ -938,6 +931,36 @@ def test_bs1_stats_count_the_checked_candidate(monkeypatch, capsys):
         cli.main(["--format", "human", str(path)])
         line = f"branches: 0  rounds: {checked}  candidates: {checked}"
         assert line in capsys.readouterr().out.splitlines(), name
+
+
+def test_decide_and_replay_reduce_through_the_module_names(monkeypatch):
+    """``decide`` and ``verify_certificate`` reduce a system once each, and
+    through the names ``groupeq.reduce.reduce_bs`` and ``reduce_wreath``,
+    which ``perfbench/layertrace.py`` wraps to count ``reduce.reduce_calls``;
+    BS(1,1), solved by one linear solve, reduces through them too."""
+    reduce_mod = importlib.import_module("groupeq.reduce")
+    calls = []
+    for family in ("reduce_bs", "reduce_wreath"):
+
+        def counting(system, family=family, inner=getattr(reduce_mod, family)):
+            calls.append(family)
+            return inner(system)
+
+        monkeypatch.setattr(reduce_mod, family, counting)
+    corpus = pathlib.Path(__file__).parent / "corpus"
+    for name, family, status in [
+        ("bs2_conj_pow3", "reduce_bs", "unsat"),
+        ("lamp2_square_root", "reduce_wreath", "unsat"),
+        ("bs1_square_even", "reduce_bs", "sat"),
+    ]:
+        system = parse_system((corpus / f"{name}.eq").read_text())
+        calls.clear()
+        v = decide(system)
+        assert v.status == status and calls == [family], (name, calls)
+        if status == "unsat":
+            calls.clear()
+            assert verify_certificate(v.certificate, system), name
+            assert calls == [family], (name, calls)
 
 
 def _record_residual_solves(monkeypatch):
