@@ -1,9 +1,10 @@
 """Print a digest of every report the solver writes for a fixed set of inputs.
 
 One line per input, ``name report contract``, and one more per input whose
-report carries a witness or a certificate (below).  ``report`` is the sha256 of the ``--format json`` report without
-its ``timing`` field (stats and key order included); ``contract`` is the
-sha256 of its verdict, witness and certificate only.  The inputs are the corpus instances under the default
+report carries a witness or a certificate (below).  ``report`` is the
+sha256 of the ``--format json`` report without its ``timing`` field (stats
+and key order included); ``contract`` is the sha256 of its verdict, witness
+and certificate only.  The inputs are the corpus instances under the default
 Budget, then the ``commute`` and ``powers`` systems of every seed given as
 an argument, under that workload's Budget (``perfbench/workloads.py``,
 imported and never modified).  Two solvers that differ only in speed print
