@@ -3,8 +3,10 @@
 
 An unsat verdict ships a certificate meant to be checked by someone who does
 not trust the solver.  Replay re-runs the cheap part of the pipeline, matches
-the recorded branch structure, and re-checks each obstruction from the raw
-recorded rows.  Editing any load-bearing field makes verification fail.
+the recorded branch structure, and re-derives each obstruction: it replays
+the search the record names over the recorded chain of moduli, and accepts
+only when that search is refuted and writes the record again, field for
+field.  Editing any field, or adding one, makes verification fail.
 """
 
 import copy
@@ -36,6 +38,7 @@ mutations = {
     "chain truncated": lambda c: c.update(chain=c["chain"][:-1]),
     "rows mangled": lambda c: c.update(rows=["0 = 0"]),
     "branch path moved": lambda c: c.update(path=c["path"] + "."),
+    "extra field": lambda c: c.update(note="trust me"),
 }
 for label, mutate in mutations.items():
     bad = copy.deepcopy(cert)

@@ -104,10 +104,10 @@ def _budget(args) -> Budget:
 
 
 def _debug_reduce(system, out):
-    base = _base(system.spec.kind)
     red = reduce_system(system)
     print("# stage reduce (rows per coefficient component)", file=out)
     for comp in red.components:
+        base = _base(comp)
         ring = "Z" if comp.mod is None else f"Z_{comp.mod}"
         print(f"  component {comp.component} over {ring}[{base}, 1/{base}]:", file=out)
         for row in comp.rows:
@@ -117,9 +117,9 @@ def _debug_reduce(system, out):
 
 
 def _debug_tri(system, out):
-    base = _base(system.spec.kind)
     print("# stage tri (case-split triangular branches per component)", file=out)
     for comp in reduce_system(system).components:
+        base = _base(comp)
         print(f"component {comp.component}:", file=out)
         try:
             branches = triangularize(comp.rows, comp.mod)
@@ -142,7 +142,7 @@ def _debug_exp(system, out):
         return
     for fb in build.finals:
         print(f"  open branch {fb.path}: params {fb.params}", file=out)
-        for line in _render_rows(fb.parts, build.kind):
+        for line in _render_rows(fb.parts):
             print(f"    {line}", file=out)
     for rb in build.refuted:
         # a dead residual system is certified only for an unsat verdict

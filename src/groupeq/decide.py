@@ -18,14 +18,15 @@ Every branch is attacked from two sides at once:
 * an obstruction search refines joint residue constraints over a growing
   chain of moduli, and an empty refinement level refutes the whole branch.
 
-Both refinements, over BS(1,k) and over A wr Z, run the level loop of
-``_Refinement``; each ring supplies only its arithmetic, and the chain of
-moduli is handed in, so a certificate replays through the same loop.  One
-constructor, ``_search``, builds a refinement for the search and for the
-replay.  One scheduler, ``_BranchSearches``, steps every refinement of a
-branch: a torsion component's refinements over its ring and its divisors
-run from the first round, and an integer component gains one new prime
-projection to Z_p[t] per round, primes ascending.
+Every refinement runs the level loop of ``_Refinement`` over a chain of
+moduli handed in, so a certificate replays through the same loop.  A part's
+ring picks its adapter (``_adapter``): ``_BsSearch`` for Z[1/k], the one
+component -1 of BS(1,k), else ``_WreathSearch``.  The adapter supplies the
+ring's arithmetic, the part's searches, the search a certificate names and
+the fields it records.  One scheduler, ``_BranchSearches``, steps every
+refinement of a branch: a torsion component's refinements over its ring
+and its divisors run from the first round, and an integer component gains
+one new prime projection to Z_p[t] per round, primes ascending.
 
 Every Unsat verdict ships a certificate that can be replayed independently
 of the search that found it.  A ``Budget`` (``steps``, ``max_prime_power``,
@@ -154,8 +155,7 @@ class Build:
     """The branches of one case analysis, filled as ``_building`` runs.
     ``k`` is the group's: the base of BS(1,k), 0 for A wr Z."""
 
-    def __init__(self, kind: str, k: int):
-        self.kind = kind
+    def __init__(self, k: int):
         self.k = k
         self.finals: list = []
         self.refuted: list = []
@@ -176,15 +176,16 @@ def _residual_terms(s: ExpSum):
     return tuple((c, f) for f, c in s.terms)
 
 
-def _base(kind) -> str:
-    """The letter that rows print for the base of their monomials."""
-    return "k" if kind == "bs" else "t"
+def _base(part) -> str:
+    """The letter that a part's rows print for the base of their monomials:
+    k over Z[1/k] (component -1), else t."""
+    return "k" if part.component < 0 else "t"
 
 
-def _render_rows(parts, kind) -> list:
+def _render_rows(parts) -> list:
     out = []
-    base = _base(kind)
     for part in parts:
+        base = _base(part)
         for u, row in part.pivots:
             out.append(f"[{part.component}] pivot {u}: {row.render(base)}")
         for s in part.residuals:
@@ -192,11 +193,11 @@ def _render_rows(parts, kind) -> list:
     return out
 
 
-def _cert_rows(parts, kind, stage) -> list:
+def _cert_rows(parts, stage) -> list:
     """The rows that a certificate at ``stage`` records for ``parts``."""
     if stage == "residual":
-        return [s.render(_base(kind)) + " = 0" for part in parts for s in part.residuals]
-    return _render_rows(parts, kind)
+        return [s.render(_base(part)) + " = 0" for part in parts for s in part.residuals]
+    return _render_rows(parts)
 
 
 def _residual_key(part: Part) -> tuple:
@@ -205,11 +206,12 @@ def _residual_key(part: Part) -> tuple:
     return part.mod, tuple(_residual_terms(s) for s in part.residuals)
 
 
-def _residual_solutions(kind, k, key) -> list:
-    """The exact solver's disjunction for the residual rows of one part,
-    given by its ``_residual_key``."""
+def _residual_solutions(k, part, key) -> list:
+    """The exact solver's disjunction for the residual rows of ``part``,
+    given by its ``_residual_key``: ``semenov_solve`` over Z[1/k] (component
+    -1), else ``grouping_solve`` over the part's ring."""
     mod, eqs = key
-    if kind == "bs":
+    if part.component < 0:
         return semenov_solve(SemenovSystem.make([(t, 0) for t in eqs], k))
     return grouping_solve(eqs, mod)
 
@@ -258,10 +260,10 @@ def _building(system: EquationSystem, deadline=None):
     conditions first, so the children a consumer never reaches cost
     nothing more.
     """
-    kind, k = system.spec.kind, system.spec.k
+    k = system.spec.k
     red = reduce_system(system)
     evars, lin = red.evars, red.linear
-    build = Build(kind, k)
+    build = Build(k)
     sol = solve_forms(lin, evars)
     if sol.status == "empty":
         build.linear_cert = _linear_infeasible("shared-linear", lin, evars, sol)
@@ -319,7 +321,7 @@ def _building(system: EquationSystem, deadline=None):
                 key = _residual_key(part)
                 dis = solved.get(key)
                 if dis is None:
-                    dis = solved[key] = _residual_solutions(kind, k, key)
+                    dis = solved[key] = _residual_solutions(k, part, key)
                 if not dis:
                     dead = Part(part.component, part.mod, [], part.residuals)
                     break
@@ -359,7 +361,7 @@ def _building(system: EquationSystem, deadline=None):
                         {
                             "kind": "empty_disjunction",
                             "stage": "joint-residual",
-                            "rows": _render_rows([p for p in parts if p.residuals], kind),
+                            "rows": _render_rows([p for p in parts if p.residuals]),
                         },
                         parts,
                         st.params,
@@ -408,21 +410,28 @@ class _Refinement:
     Certificate replay runs the same loop, so a level too big for a search
     is too big for a replay, whatever modulus a certificate names.
 
-    A ring adapter sets ``zero``, the residue of an unknown before the first
-    level, and supplies ``_width(m)`` and ``_level(m)``.  ``_width(m)``
+    A ring adapter (``_adapter``) holds all that its ring decides about
+    obstructions.  It sets ``zero``, the residue of an unknown before the
+    first level, and supplies ``_width(m)`` and ``_level(m)``.  ``_width(m)``
     bounds both the number of residues one unknown's residue extends to at
     modulus m and the length of the search for the period; it is charged as
     work once for the setup and once per unknown of every node, before any
-    of that is listed.  ``_level(m)`` returns the period of the
-    parameters mod m, an evaluator of an ``ExpSum`` at a parameter point,
-    the extensions of one unknown's residue as (residue, value mod m) pairs,
-    and a test whether a row (terms, constant) vanishes at a pick of
-    extensions.  ``_level`` may advance the adapter's residue modulus at
-    once: a level either completes or ends the search.
+    of that is listed.  ``_level(m)`` returns the period of the parameters
+    mod m, an evaluator of an ``ExpSum`` at a parameter point, the
+    extensions of one unknown's residue as (residue, value mod m) pairs, and
+    a test whether a row (terms, constant) vanishes at a pick of extensions.
+    ``_level`` may advance the adapter's residue modulus at once: a level
+    either completes or ends the search.  Its class methods give a part's
+    searches (``searches``: those run from the first round, and an iterator
+    of those admitted one per round) and the search a certificate record
+    names (``named``, or None for a chain it cannot step through); a search
+    gives the fields its certificate records (``fields``), its frontier
+    ``desc``, and the last test of a refuted replay (``sound``).
     """
 
-    def __init__(self, rows, residuals, params, schedule):
-        self.rows = [row for _, row in rows]
+    def __init__(self, part, pivots, residuals, params, schedule):
+        self.part = part
+        self.rows = [row for _, row in pivots]
         self.residuals = list(residuals)
         self.unknowns = sorted({u for row in self.rows for u in row.coeffs})
         self.params = list(params)
@@ -483,20 +492,44 @@ class _Refinement:
 
 
 class _BsSearch(_Refinement):
-    """Refinement over integer moduli q coprime to k, usually prime powers.
+    """Refinement of a Z[1/k] part over integer moduli q coprime to k, the
+    prime powers ascending up to ``max_prime_power`` in a search.
 
     An unknown's residue is kept mod ``unknown_mod``, the lcm of the
     processed moduli: by CRT, its residue mod the highest processed power of
     every prime.
     """
 
-    component = None
     zero = 0
 
-    def __init__(self, rows, residuals, params, k, schedule):
-        super().__init__(rows, residuals, params, schedule)
+    def __init__(self, part, params, k, schedule):
+        super().__init__(part, part.pivots, part.residuals, params, schedule)
         self.base = k
         self.unknown_mod = 1
+
+    @classmethod
+    def searches(cls, part, params, k, budget):
+        schedule = itertools.takewhile(
+            lambda q: q <= budget.max_prime_power, prime_powers_coprime(k)
+        )
+        return [cls(part, params, k, schedule)], iter(())
+
+    @classmethod
+    def named(cls, part, params, k, inner):
+        chain = inner.get("chain")
+        if not isinstance(chain, list) or not all(
+            isinstance(q, int) and q >= 2 and math.gcd(q, k) == 1 for q in chain
+        ):
+            return None
+        return cls(part, params, k, iter(chain))
+
+    def fields(self) -> dict:
+        return {"base": self.base}
+
+    desc = fields
+
+    def sound(self) -> bool:
+        return True
 
     def _width(self, q):
         return q
@@ -520,22 +553,71 @@ class _BsSearch(_Refinement):
 
 
 class _WreathSearch(_Refinement):
-    """Refinement over monic polynomial moduli h with unit constant term.
+    """Refinement of a Laurent part in Z_ring[t] over monic polynomial
+    moduli h with unit constant term, degree by degree in a search.
 
-    Works in Z_ring[t]/(h); every polynomial unknown carries its residue mod
+    It runs on the part's own rows when ``ring`` is the part's coefficient
+    ring, else on the rows projected to Z_ring: a divisor of a torsion
+    order, or a prime for an integer component, whose certificate then says
+    ``projected_from`` 0.  Every polynomial unknown carries its residue mod
     ``hprod``, the product of the processed moduli, extended level by level
     (base-H digit expansion, so non-coprime moduli are fine).
     """
 
-    base = None
-    projected_from = None
     zero = ()
 
-    def __init__(self, rows, residuals, params, ring, schedule, component=None):
-        super().__init__(rows, residuals, params, schedule)
+    def __init__(self, part, params, ring, schedule):
+        if ring == part.mod:
+            rows, res = part.pivots, part.residuals
+        else:
+            rows, res = _project_rows(part.pivots, part.residuals, ring)
+        super().__init__(part, rows, res, params, schedule)
         self.ring = ring
-        self.component = component
+        self.projected_from = 0 if part.mod is None else None
         self.hprod: tuple = (1,)
+
+    @classmethod
+    def searches(cls, part, params, k, budget):
+        def over(ring):
+            return cls(part, params, ring, _monics(ring, budget.max_monic_degree))
+
+        if part.mod is None:
+            projections = itertools.takewhile(lambda p: p <= budget.max_prime_power, primes())
+            return [], map(over, projections)
+        divisors = [part.mod] + [d for d in range(part.mod - 1, 1, -1) if part.mod % d == 0]
+        return [over(d) for d in divisors], iter(())
+
+    @classmethod
+    def named(cls, part, params, k, inner):
+        ring, chain = inner.get("ring"), inner.get("chain")
+        if not isinstance(ring, int) or ring < 2 or not isinstance(chain, list):
+            return None
+
+        def monic(h) -> bool:
+            return (
+                isinstance(h, list)
+                and len(h) >= 2
+                and all(isinstance(c, int) and 0 <= c < ring for c in h)
+                and h[-1] == 1
+                and math.gcd(h[0], ring) == 1
+            )
+
+        # an integer part is seen through a projection (to a prime, which
+        # ``sound`` tests), a torsion part over its own ring or a divisor of it
+        if not all(map(monic, chain)) or part.mod is not None and part.mod % ring:
+            return None
+        return cls(part, params, ring, iter(chain))
+
+    def fields(self) -> dict:
+        return {"ring": self.ring, "projected_from": self.projected_from}
+
+    def desc(self) -> dict:
+        return {"component": self.part.component, "ring": self.ring}
+
+    def sound(self) -> bool:
+        # a projection's ring must be prime; tested last, since a refuted level
+        # listed ring^deg(h) <= WORK_CAP lifts, which bounds the trial division
+        return self.projected_from is None or is_prime(self.ring)
 
     def _width(self, m):
         return self.ring ** (len(m) - 1)
@@ -575,6 +657,12 @@ class _WreathSearch(_Refinement):
         return period, evaluate, extend, vanishes
 
 
+def _adapter(part):
+    """The refinement adapter of a part's ring: ``_BsSearch`` over Z[1/k]
+    (component -1), else ``_WreathSearch``."""
+    return _BsSearch if part.component < 0 else _WreathSearch
+
+
 def _monics(ring: int, max_degree: int):
     """Monic moduli over Z_ring with unit constant term, degree by degree."""
     for d in range(1, max_degree + 1):
@@ -594,56 +682,6 @@ def _project_rows(pivots, residuals, mod: int):
     return rows, [s for s in map(project, residuals) if not s.is_zero()]
 
 
-def _search(kind, k, part, params, ring, schedule):
-    """The refinement of ``part`` over the moduli of ``schedule``.
-
-    Over A wr Z it runs in Z_ring[t]: on the part's own rows when ``ring`` is
-    the part's coefficient ring, else on the rows projected to Z_ring (a
-    divisor of a torsion order, or a prime for an integer component, whose
-    certificate then says ``projected_from`` 0).  ``ring`` is unused for
-    BS(1,k).  Search and certificate replay both build refinements here.
-    """
-    if kind == "bs":
-        return _BsSearch(part.pivots, part.residuals, params, k, schedule)
-    if ring == part.mod:
-        rows, res = part.pivots, part.residuals
-    else:
-        rows, res = _project_rows(part.pivots, part.residuals, ring)
-    search = _WreathSearch(rows, res, params, ring, schedule, part.component)
-    if part.mod is None:
-        search.projected_from = 0
-    return search
-
-
-def _part_searches(kind, k, part, params, budget):
-    """The obstruction searches of one component of a branch.
-
-    Returns the searches that run from the first round, and an iterator of
-    the searches admitted one per round: an integer component's prime
-    projections, primes ascending up to ``max_prime_power``.
-    """
-    if kind == "bs":
-        schedule = itertools.takewhile(
-            lambda q: q <= budget.max_prime_power, prime_powers_coprime(k)
-        )
-        return [_search(kind, k, part, params, None, schedule)], iter(())
-
-    def over(ring):
-        return _search(kind, k, part, params, ring, _monics(ring, budget.max_monic_degree))
-
-    if part.mod is None:
-        return [], map(over, itertools.takewhile(lambda p: p <= budget.max_prime_power, primes()))
-    divisors = [part.mod] + [d for d in range(part.mod - 1, 1, -1) if part.mod % d == 0]
-    return [over(d) for d in divisors], iter(())
-
-
-def _describe(search) -> dict:
-    """How the frontier of an unknown verdict names a search."""
-    if search.base is not None:
-        return {"base": search.base}
-    return {"component": search.component, "ring": search.ring}
-
-
 class _BranchSearches:
     """Every obstruction search of one branch, stepped in rounds.
 
@@ -657,12 +695,12 @@ class _BranchSearches:
     residual system).
     """
 
-    def __init__(self, kind, k, parts, params, budget, stage="pivots"):
+    def __init__(self, k, parts, params, budget, stage="pivots"):
         self.params = params
         self.stage = stage
-        self.rows = _cert_rows(parts, kind, stage)
+        self.rows = _cert_rows(parts, stage)
         self.components = [
-            _part_searches(kind, k, part, params, budget)
+            _adapter(part).searches(part, params, k, budget)
             for part in parts
             if part.pivots or part.residuals
         ]
@@ -695,41 +733,43 @@ class _BranchSearches:
         return self.state
 
 
-def _in_component(component, inner: dict) -> dict:
-    """A wreath certificate names its component; a BS one (None) stands alone."""
-    if component is None:
+def _in_component(part, inner: dict) -> dict:
+    """A certificate over a Laurent part names its component; one over
+    Z[1/k] (component -1) stands alone."""
+    if part.component < 0:
         return inner
-    return {"kind": "component_obstruction", "component": component, "inner": inner}
+    return {"kind": "component_obstruction", "component": part.component, "inner": inner}
 
 
 def _obstruction(search, stage, rows, params) -> dict:
     """The modulus obstruction certificate of a refuted search."""
-    where = (
-        {"base": search.base}
-        if search.base is not None
-        else {"ring": search.ring, "projected_from": search.projected_from}
-    )
-    inner = {"kind": "modulus_obstruction", "stage": stage, **where}
+    inner = {"kind": "modulus_obstruction", "stage": stage, **search.fields()}
     inner.update(chain=list(search.chain), rows=rows, params=list(params))
-    return _in_component(search.component, inner)
+    return _in_component(search.part, inner)
 
 
-def _refute_residuals(kind, k, parts, params, budget) -> dict:
-    """Certificate for a dead residual system: a modulus obstruction found
-    within ``ATTEMPT_LEVELS`` rounds, else the exact solver's emptiness record."""
-    searches = _BranchSearches(kind, k, parts, params, budget, "residual")
+def _emptiness(part, params) -> dict:
+    """The exact solver's emptiness record of a dead residual ``part``."""
+    inner = {
+        "kind": "empty_disjunction",
+        "stage": "residual",
+        "rows": _cert_rows([part], "residual"),
+        "params": list(params),
+    }
+    return _in_component(part, inner)
+
+
+def _refute_residuals(k, parts, params, budget) -> dict:
+    """Certificate for a dead residual system, its one part in ``parts``: a
+    modulus obstruction found within ``ATTEMPT_LEVELS`` rounds, else the
+    exact solver's emptiness record."""
+    searches = _BranchSearches(k, parts, params, budget, "residual")
     for _ in range(ATTEMPT_LEVELS):
         if searches.step() != "running":
             break
     if searches.cert is not None:
         return searches.cert
-    fallback = {
-        "kind": "empty_disjunction",
-        "stage": "residual",
-        "rows": searches.rows,
-        "params": list(params),
-    }
-    return _in_component(None if kind == "bs" else parts[0].component, fallback)
+    return _emptiness(parts[0], params)
 
 
 # ---------------------------------------------------------------------------
@@ -898,7 +938,8 @@ def _laurent_ring(mod: int | None, env: dict):
 def _lift(system, final: FinalBranch, env: dict, choice=None):
     """``_back_substitute`` in every part at the parameters env, ``choice``
     in each, over the part's ring (``_zk_ring`` for component -1, else
-    ``_laurent_ring``), as the family's elements, or None."""
+    ``_laurent_ring``), as BS(1,k) elements when that ring is Z[1/k], else as
+    wreath elements, or None."""
     spec = system.spec
     values = {}
     for part in final.parts:
@@ -907,7 +948,7 @@ def _lift(system, final: FinalBranch, env: dict, choice=None):
         if assigned is None:
             return None
         values[part.component] = assigned
-    if spec.kind == "bs":
+    if -1 in values:  # the Z[1/k] part, component -1
         return {
             name: BsElement(
                 ZkFrac.from_fraction(values[-1].get(name, Fraction(0)), spec.k),
@@ -1151,7 +1192,7 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
                 "path": r.path,
                 "cert": r.cert
                 if r.cert is not None
-                else _refute_residuals(build.kind, build.k, r.parts, r.params, budget),
+                else _refute_residuals(build.k, r.parts, r.params, budget),
             }
             for r in build.refuted
         ]
@@ -1164,7 +1205,7 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
         return _wrap_cert({"kind": "branch_refutation", "branches": entries}, system)
 
     managers = [
-        (f.path, _BranchSearches(build.kind, build.k, f.parts, f.params, budget))
+        (f.path, _BranchSearches(build.k, f.parts, f.params, budget))
         for f in build.finals
     ]
 
@@ -1212,7 +1253,7 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
             "state": m.state,
             "levels": m.levels,
             "searches": [
-                {"desc": _describe(s), "state": s.state, "chain": len(s.chain)}
+                {"desc": s.desc(), "state": s.state, "chain": len(s.chain)}
                 for searches, _ in m.components
                 for s in searches
             ],
@@ -1226,80 +1267,37 @@ def decide(system: EquationSystem, budget: Budget | None = None) -> Verdict:
 # Certificate verification (deterministic replay, no open-ended search)
 
 
-def _bs_chain_ok(chain, k) -> bool:
-    if not isinstance(chain, list) or not chain:
-        return False
-    return all(
-        isinstance(q, int) and q >= 2 and math.gcd(q, k) == 1 for q in chain
-    )
+def _check_obstruction(k, parts, params, stage, cert: dict) -> bool:
+    """Whether ``cert`` is what the obstruction searches write for one
+    branch whose ``parts`` they saw at ``stage``: "pivots" for a final
+    branch, "residual" for a dead residual system, which its ``_emptiness``
+    record also certifies.
 
-
-def _monic_chain_ok(chain, ring) -> bool:
-    if not isinstance(chain, list) or not chain:
-        return False
-    for h in chain:
-        if not isinstance(h, (list, tuple)) or len(h) < 2:
-            return False
-        if any(not isinstance(c, int) or not 0 <= c < ring for c in h):
-            return False
-        if h[-1] != 1 or math.gcd(h[0], ring) != 1:
-            return False
-    return True
-
-
-def _replay(kind, k, part: Part, params, inner) -> bool:
-    """Whether the chain of a modulus obstruction empties the refinement of
-    ``part`` (as the search that found it saw the part) at its last level."""
-    chain = inner.get("chain")
-    projected = kind == "wreath" and inner.get("projected_from") == 0
-    if kind == "bs":
-        ring = None
-        if inner.get("base") != k or not _bs_chain_ok(chain, k):
-            return False
-    else:
-        # an integer part is seen through a projection, a torsion part over
-        # its own ring or a divisor of it
-        ring = inner.get("ring")
-        if not isinstance(ring, int) or projected != (part.mod is None):
-            return False
-        if not projected and not (ring >= 2 and part.mod % ring == 0):
-            return False
-        if not _monic_chain_ok(chain, ring):
-            return False
-    search = _search(kind, k, part, params, ring, iter(chain))
-    for _ in chain:
-        search.step()
-    if search.state != "refuted":
-        return False
-    # a projection's ring must be prime; tested last, since a refuted level
-    # listed ring^deg(h) <= WORK_CAP lifts, which bounds the trial division
-    return not projected or is_prime(ring)
-
-
-def _check_obstruction(build: Build, parts, params, stage, cert: dict) -> bool:
-    """Check the certificate of one branch whose ``parts`` the obstruction
-    searches saw at ``stage``: "pivots" for a final branch, "residual" for a
-    dead residual system (which may also be certified by its emptiness)."""
-    comp, inner = None, cert
-    if build.kind == "wreath":
-        if cert.get("kind") != "component_obstruction":
-            return False
-        comp, inner = cert.get("component"), cert.get("inner")
-        if not isinstance(inner, dict):
-            return False
-    part = next((p for p in parts if build.kind == "bs" or p.component == comp), None)
-    if part is None or inner.get("stage") != stage:
-        return False
-    if inner.get("rows") != _cert_rows(parts, build.kind, stage):
-        return False
-    if list(inner.get("params", ())) != list(params):
-        return False
-    if inner.get("kind") == "empty_disjunction" and stage == "residual":
+    The search that ``cert`` names for one of the parts (``named`` of the
+    part's adapter) is replayed over the certificate's chain.  It must come
+    out refuted, write ``cert`` again as ``_obstruction``, field for field,
+    and pass its adapter's last test (``sound``).
+    """
+    if stage == "residual" and cert == _emptiness(parts[0], params):
         # the rebuild recorded this residual part as dead after solving it
         return True
-    if inner.get("kind") != "modulus_obstruction":
+    # a record over Z[1/k] (component -1) has no component wrapper
+    part = next((p for p in parts if p.component == cert.get("component", -1)), None)
+    if part is None:
         return False
-    return _replay(build.kind, build.k, part, params, inner)
+    inner = cert if part.component < 0 else cert.get("inner")
+    if not isinstance(inner, dict):
+        return False
+    search = _adapter(part).named(part, params, k, inner)
+    if search is None:
+        return False
+    while search.step() == "running":
+        pass
+    return (
+        search.state == "refuted"
+        and _obstruction(search, stage, _cert_rows(parts, stage), params) == cert
+        and search.sound()
+    )
 
 
 def _check_branch_cert(build: Build, path: str, cert: dict) -> bool:
@@ -1308,10 +1306,10 @@ def _check_branch_cert(build: Build, path: str, cert: dict) -> bool:
             if r.cert is not None:
                 # recorded by the build, so recomputed verbatim by the rebuild
                 return cert == r.cert
-            return _check_obstruction(build, r.parts, r.params, "residual", cert)
+            return _check_obstruction(build.k, r.parts, r.params, "residual", cert)
     for f in build.finals:
         if f.path == path:
-            return _check_obstruction(build, f.parts, f.params, "pivots", cert)
+            return _check_obstruction(build.k, f.parts, f.params, "pivots", cert)
     return False
 
 
@@ -1319,8 +1317,9 @@ def verify_certificate(cert: dict, system: EquationSystem) -> bool:
     """Replay a refutation certificate against the system it claims to refute.
 
     Only the recorded branches and moduli are revisited; verification never
-    searches.  Any mismatch, including a wrong hash or a chain that fails to
-    empty the final refinement level, yields False.
+    searches.  Each branch's record must be what the replay writes for it,
+    field for field.  Any mismatch, including a wrong hash, an extra field or
+    a chain that does not end at the level its search empties, yields False.
     """
     try:
         if cert.get("version") != CERT_VERSION:
@@ -1346,27 +1345,21 @@ def verify_certificate(cert: dict, system: EquationSystem) -> bool:
         if build.linear_cert is not None or build.overflow:
             return False
         if kind == "branch_refutation":
-            entries = cert.get("branches")
-            if not isinstance(entries, list):
+            # the list the writer makes: {path, cert} entries and nothing more
+            entries = got["branches"]
+            if got != {"kind": kind, "branches": entries}:
                 return False
-            paths = [e.get("path") for e in entries]
+            if any(set(e) != {"path", "cert"} for e in entries):
+                return False
+            pairs = [(e["path"], e["cert"]) for e in entries]
         else:
-            entries = [{"path": cert.get("path"), "cert": cert}]
-            paths = [cert.get("path")]
+            pairs = [(got.pop("path", None), got)]
         all_paths = sorted(
             [r.path for r in build.refuted] + [f.path for f in build.finals]
         )
-        if sorted(paths) != all_paths:
+        if sorted(path for path, _ in pairs) != all_paths:
             return False
-        for e in entries:
-            inner = {
-                kk: vv
-                for kk, vv in e["cert"].items()
-                if kk not in ("version", "system_hash", "path")
-            }
-            if not _check_branch_cert(build, e["path"], inner):
-                return False
-        return True
+        return all(_check_branch_cert(build, path, c) for path, c in pairs)
     except Exception:
         return False
 

@@ -277,6 +277,10 @@ def parse_element(spec: GroupSpec, text: str):
             base, _, depth = kpow.partition("^-")
             if int(base) != spec.k:
                 raise ValueError(f"element base {base} does not match k={spec.k}")
+            # render_element writes the k-adic depth as plain digits; int()
+            # would also take a sign, and a negative depth builds k^|depth|
+            if not (depth.isascii() and depth.isdigit()):
+                raise ValueError(f"bad k-adic depth: {depth!r}")
             u = ZkFrac.make(int(z_text), int(depth), spec.k)
         else:
             u = ZkFrac.integer(int(left), spec.k)

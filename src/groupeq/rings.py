@@ -73,14 +73,6 @@ class ZkFrac(NamedTuple):
     def __neg__(self) -> "ZkFrac":
         return ZkFrac(-self.num, self.depth, self.k)
 
-    def __sub__(self, other: "ZkFrac") -> "ZkFrac":
-        return self + (-other)
-
-    def __mul__(self, other: "ZkFrac") -> "ZkFrac":
-        if self.k != other.k:
-            raise ValueError("mixed k")
-        return ZkFrac.make(self.num * other.num, self.depth + other.depth, self.k)
-
     def scale_kpow(self, e: int) -> "ZkFrac":
         """Multiply by k^e (e may be negative)."""
         return ZkFrac.make(self.num, self.depth - e, self.k)
@@ -155,9 +147,6 @@ class RElem(NamedTuple):
             self.orders,
         )
 
-    def __sub__(self, other: "RElem") -> "RElem":
-        return self + (-other)
-
     def component(self, idx: int) -> int:
         """Integer value of one component (free first, then torsion)."""
         m = len(self.free)
@@ -204,9 +193,6 @@ class LaurentPoly(NamedTuple):
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(tuple((d, -c) for d, c in self.coeffs), self.m, self.orders)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
 
     def shift(self, e: int) -> "LaurentPoly":
         """Multiply by t^e."""

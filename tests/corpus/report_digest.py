@@ -11,13 +11,18 @@ imported and never modified).  Two solvers that differ only in speed print
 the same lines, so comparing a change with its parent is a diff; a change
 that moves only search counters differs in the ``report`` column alone.
 After each input whose report carries a witness or a certificate (every
-sat and every unsat one) a second line, ``name verify answer | tampered``,
-holds the ``--verify-only`` answer on its report and on a copy whose system
-was tampered as the benchmark's audit workload does (``perfbench/run.py``
-``_tamper``), so the diff also covers the verifier's accept and reject
-decisions: the re-multiplication of each witness and the replay of each
-certificate.  The answer is the output lines of ``groupeq.cli.verify_lines``,
-the function ``--verify-only`` prints, joined by ``; ``:
+sat and every unsat one) a second line, ``name verify answer | tampered |
+cut``, holds the ``--verify-only`` answer on its report, on a copy whose
+system was tampered as the benchmark's audit workload does
+(``perfbench/run.py`` ``_tamper``), and on a copy whose every modulus chain
+lost its last modulus (``-`` when the certificate has no chain).  So the
+diff also covers the verifier's accept and reject decisions: the
+re-multiplication of each witness, the replay of each certificate, and the
+replay's rejection of a chain that stops short of its refuting level (the
+tampered system already fails at the hash).  The solver ends a chain at the
+first empty level, so every cut answer other than ``-`` reads ``FAILED``.
+The answer is the output lines of ``groupeq.cli.verify_lines``, the function
+``--verify-only`` prints, joined by ``; ``:
 
     PYTHONPATH=src python tests/corpus/report_digest.py 1 2 3 > change.txt
     PYTHONPATH=../parent/src python tests/corpus/report_digest.py 1 2 3 > parent.txt
@@ -36,6 +41,7 @@ digested with its own copy of this script.
 """
 
 import argparse
+import copy
 import hashlib
 import itertools
 import json
@@ -77,6 +83,29 @@ def _answer(report: dict) -> str:
     return "; ".join(lines)
 
 
+def _chained(node) -> list:
+    """The records under ``node`` (a certificate) that hold a modulus chain."""
+    found = []
+    if isinstance(node, dict):
+        if "chain" in node:
+            found.append(node)
+        node = list(node.values())
+    if isinstance(node, list):
+        for item in node:
+            found += _chained(item)
+    return found
+
+
+def _cut_answer(report: dict) -> str:
+    """The answer on a copy of ``report`` whose every modulus chain lost its
+    last modulus, or ``-`` when its certificate has no chain."""
+    cut = copy.deepcopy(report)
+    records = _chained(cut["certificate"])
+    for rec in records:
+        rec["chain"] = rec["chain"][:-1]
+    return _answer(cut) if records else "-"
+
+
 def digest(text: str, budget: Budget) -> tuple[str, str, str | None]:
     """The report and contract hashes, and the verifier line for a report
     with a witness or a certificate."""
@@ -84,7 +113,7 @@ def digest(text: str, budget: Budget) -> tuple[str, str, str | None]:
     report = build_report(system, decide(system, budget), budget, 0.0)
     verify = None
     if report["witness"] is not None or report["certificate"] is not None:
-        verify = f"{_answer(report)} | {_answer(_tamper(report))}"
+        verify = f"{_answer(report)} | {_answer(_tamper(report))} | {_cut_answer(report)}"
     del report["timing"]
     contract = {key: report[key] for key in ("verdict", "witness", "certificate")}
     return _sha(report), _sha(contract), verify

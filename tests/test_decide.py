@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from groupeq.decide import (
     Budget,
+    Part,
     _BsSearch,
     _WreathSearch,
     _build,
@@ -171,7 +172,6 @@ def test_descending_chain_does_not_refute_a_sat_system():
     """A chain may name a prime's powers in any order: an unknown's residue
     is kept mod the lcm of the moduli, so q = 3 after q = 9 narrows nothing
     and cannot empty a level of a solvable branch."""
-    decide_mod = importlib.import_module("groupeq.decide")
     system = parse_system("group BS 2\nX^2 = a^3")
     build = _build(system)
     assert not build.refuted
@@ -183,12 +183,12 @@ def test_descending_chain_does_not_refute_a_sat_system():
         "stage": "pivots",
         "base": 2,
         "chain": [9, 3],
-        "rows": decide_mod._cert_rows(final.parts, "bs", "pivots"),
+        "rows": _cert_rows(final.parts, "pivots"),
         "params": list(final.params),
         "path": final.path,
     }
     assert not verify_certificate(forged, system)
-    search = _BsSearch(final.parts[0].pivots, [], final.params, 2, iter([9, 3]))
+    search = _BsSearch.named(final.parts[0], final.params, 2, forged)
     assert [search.step(), search.step()] == ["running", "running"]
 
 
@@ -197,9 +197,10 @@ def test_forged_huge_moduli_fail_fast(monkeypatch):
     level saturates before it computes a period or lists a residue, and a
     projection's ring is tested for primality only after a refutation."""
     decide_mod = importlib.import_module("groupeq.decide")
-    replays = []
-    replay = decide_mod._replay
-    monkeypatch.setattr(decide_mod, "_replay", lambda *a: replays.append(a) or replay(*a))
+    steps = []
+    step = decide_mod._Refinement.step
+    monkeypatch.setattr(decide_mod._Refinement, "step",
+                        lambda search: steps.append(step(search)) or steps[-1])
     cases = [
         ("group BS 2\nX^2 = a^3", {"base": 2, "chain": [1000000007]}),
         ("group wreath Z^0 x Z_1000003\nX^2 = a",
@@ -214,9 +215,9 @@ def test_forged_huge_moduli_fail_fast(monkeypatch):
         build = _build(system)
         (final,) = build.finals
         inner = {"kind": "modulus_obstruction", "stage": "pivots", **where,
-                 "rows": _cert_rows(final.parts, build.kind, "pivots"),
+                 "rows": _cert_rows(final.parts, "pivots"),
                  "params": list(final.params)}
-        if build.kind == "wreath":
+        if final.parts[0].component >= 0:
             inner = {"kind": "component_obstruction",
                      "component": final.parts[0].component, "inner": inner}
         forged = {"version": 1, "system_hash": system_hash(system), **inner,
@@ -224,7 +225,27 @@ def test_forged_huge_moduli_fail_fast(monkeypatch):
         t0 = time.process_time()
         assert not verify_certificate(forged, system), text
         assert time.process_time() - t0 < 1, text
-        assert len(replays) == i + 1, text
+        # the replay reached the named search, whose first level saturated
+        assert steps == ["saturated"] * (i + 1), text
+
+
+def _obstruction_record(cert):
+    """The first modulus obstruction record of ``cert``, inside its
+    component wrapper or its first branch, or None."""
+    for node in [cert] + [e["cert"] for e in cert.get("branches", [])]:
+        node = node.get("inner", node)
+        if node.get("kind") == "modulus_obstruction":
+            return node
+    return None
+
+
+def _next_modulus(record):
+    """The modulus that the search of ``record`` steps to after its chain."""
+    last = record["chain"][-1]
+    if "base" in record:
+        return next(q for q in prime_powers_coprime(record["base"]) if q > last)
+    monics = list(_monics(record["ring"], len(last)))
+    return monics[monics.index(last) + 1]
 
 
 def _tampers(cert):
@@ -237,6 +258,12 @@ def _tampers(cert):
         fn(c)
         out.append(c)
 
+    if _obstruction_record(cert) is not None:
+        # records the writer never writes: an extra field, and a chain that
+        # goes on past the level that refuted
+        mut(lambda c: _obstruction_record(c).update(note="extra"))
+        mut(lambda c: _obstruction_record(c)["chain"].append(
+            _next_modulus(_obstruction_record(c))))
     mut(lambda c: c.update(version=2))
     mut(lambda c: c.update(system_hash="0" * 64))
     if cert["kind"] == "modulus_obstruction":
@@ -255,6 +282,8 @@ def _tampers(cert):
             mut(lambda c: c.update(rows=[[x + 1 for x in row] for row in c["rows"]]))
     if cert["kind"] == "branch_refutation":
         mut(lambda c: c.update(branches=c["branches"][:-1]))
+        mut(lambda c: c.update(note="extra"))
+        mut(lambda c: c["branches"][0].update(note="extra"))
         mut(lambda c: c["branches"][0].update(path=c["branches"][0]["path"] + "."))
 
         def chain_drop(c):
@@ -275,6 +304,7 @@ def test_tampered_certificates_fail():
         "group BS 1\nX^2 = a^3",
         "group BS 2\nX^2 = b a b a^-1",
         "group wreath Z^1\nX^3 = a^2",
+        "group wreath Z^0 x Z_2\nX^2 = t a t^-1 a",
     ]
     for text in cases:
         system, v = _run(text)
@@ -565,7 +595,8 @@ def _listed_lifts(system, build, retry=True):
     for final in build.finals:
         for env in _grid_envs(final):
             cand = _lift(system, final, env)
-            monomial = build.kind == "bs" or _every_pivot_monomial(final, env)
+            monomial = (any(p.component < 0 for p in final.parts)
+                        or _every_pivot_monomial(final, env))
             if cand is None:
                 failed[monomial].append((final, env))
             else:
@@ -602,7 +633,7 @@ def test_lift_stream_yields_the_listed_lifts():
         assert len(partial.finals) == len(build.finals)
         late_seen += any(
             not _every_pivot_monomial(f, env)
-            for f in build.finals if build.kind == "wreath"
+            for f in build.finals if system.spec.kind == "wreath"
             for env in _grid_envs(f)
         )
         retried += len(listed) > len(_listed_lifts(system, build, retry=False))
@@ -682,7 +713,8 @@ def test_refinement_frontier_is_crt_consistent():
     system = parse_system("group BS 2\nX^2 = a^3")
     red = reduce_bs(system)
     branch = [b for b in triangularize(red.components[0].rows, None) if b.path != "z"][0]
-    search = _BsSearch(branch.pivots, branch.residuals, ["r_X"], 2, prime_powers_coprime(2))
+    part = Part(-1, None, branch.pivots, branch.residuals)
+    search = _BsSearch(part, ["r_X"], 2, prime_powers_coprime(2))
     seen_mods = {}
     for _ in range(4):
         assert search.step() == "running"
@@ -704,7 +736,7 @@ def test_refinement_frontier_is_crt_consistent():
             env = dict(zip(search.params, vals))
             # every residue still satisfies the pivot row mod each of those powers
             for qq in seen_mods.values():
-                _, evaluate, _, _ = _BsSearch([], [], [], 2, iter(()))._level(qq)
+                _, evaluate, _, _ = _BsSearch(Part(-1, None, [], []), [], 2, iter(()))._level(qq)
                 for row, res in zip(search.rows, residues):
                     coef = evaluate(row.coeffs["X"], env)
                     assert (coef * res + evaluate(row.const, env)) % qq == 0
@@ -717,10 +749,10 @@ def test_wreath_frontier_extends_the_previous_level():
     system = parse_system("group wreath Z^0 x Z_3\nX t^2 X = t a t^-1 a")
     final = _build(system).finals[0]
     part = final.parts[0]
-    search = _WreathSearch(part.pivots, part.residuals, final.params, 3, _monics(3, 3), 0)
+    search = _WreathSearch(part, final.params, 3, _monics(3, 3))
 
     def rows_vanish(vals, residues, h):
-        _, evaluate, _, vanishes = _WreathSearch([], [], [], 3, iter(()))._level(h)
+        _, evaluate, _, vanishes = _WreathSearch(Part(0, 3, [], []), [], 3, iter(()))._level(h)
         env = dict(zip(search.params, vals))
         pick = [(r, poly_reduce(r, tuple(h), 3)) for r in residues]
         return all(

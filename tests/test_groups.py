@@ -4,6 +4,8 @@ import sys
 import time
 from fractions import Fraction
 
+import pytest
+
 from groupeq.groups import (
     BsElement,
     GroupSpec,
@@ -258,6 +260,28 @@ def test_render_parse_element_round_trip():
         for _ in range(200):
             g = rand_element(rng, spec)
             assert parse_element(spec, render_element(spec, g)) == g
+
+
+def test_bs_depth_is_plain_digits():
+    """A k-adic depth with a sign is not text that ``render_element`` writes:
+    it fails to parse, at once however long, and so fails ``--verify-only``."""
+    from groupeq.cli import verify_lines
+    from groupeq.decide import Budget, build_report, decide
+
+    for text in ("3*2^-+1 | 0", "1*2^--3 | 0", "1*2^--30000000 | 0"):
+        t0 = time.process_time()
+        with pytest.raises(ValueError):
+            parse_element(BS2, text)
+        assert time.process_time() - t0 < 0.05, text
+    deep = BsElement(ZkFrac.make(3, 10**6, 2), -7)
+    assert render_element(BS2, deep) == "3*2^-1000000 | -7"
+    assert parse_element(BS2, render_element(BS2, deep)) == deep
+    system = parse_system("group BS 2\nX^2 = a^3")
+    report = build_report(system, decide(system), Budget(), 0.0)
+    assert report["witness"] == {"X": "3*2^-1 | 0"}
+    assert verify_lines(report, system) == (True, ["witness: ok"])
+    report["witness"] = {"X": "3*2^-+1 | 0"}
+    assert verify_lines(report, system) == (False, ["witness: FAILED"])
 
 
 def test_generator_names_by_family():
